@@ -1,17 +1,19 @@
-"""Optional native retransmission kernel for the cohort tensor engine.
+"""Native retransmission kernel for the cohort tensor engine.
 
-The batched dirty-cell pass is dispatch-bound in pure numpy: one CQI
+The cohort engine's dirty cells are dispatch-bound in numpy: one CQI
 period advances ~25 columns through a handful of events each, and at
 those sizes the per-ufunc dispatch cost dominates the arithmetic by two
 orders of magnitude.  This module compiles ``_retx_kernel.c`` — a
-transliteration of the Python reference walk with byte-identical
-semantics — into a tiny shared library with the system C compiler and
-loads it through :mod:`ctypes`.
+transliteration of the per-session engine's retransmission walk with
+byte-identical semantics — into a tiny shared library with the system
+C compiler and loads it through :mod:`ctypes`.
 
-Everything is gated: no compiler, a failed build, a failed load or
-``REPRO_NATIVE=0`` all degrade silently to the pure-numpy batched pass
-(the portable tier), and :func:`kernel_status` exposes what happened so
-``repro cache stats`` and the bench report can say which tier ran.
+The kernel is the cohort engine's only path for retransmission work.
+When it is unavailable — no compiler, a failed build or a failed load —
+:func:`repro.ran.config.resolve_engine` runs cohorts through the
+per-session vectorized engine instead (same bytes), and
+:func:`kernel_status` says why, so the bench report and the tensor
+engine's error message can name the cause.
 
 The build is cached under ``$REPRO_NATIVE_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-native``) keyed by a source digest, so each
@@ -28,9 +30,6 @@ import subprocess
 import tempfile
 from pathlib import Path
 from typing import Any
-
-#: Set to ``0``/``off``/``false`` to force the pure-numpy batched pass.
-NATIVE_ENV = "REPRO_NATIVE"
 
 #: Override the build cache directory (useful for hermetic CI runs).
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -57,11 +56,6 @@ _ARGTYPES = [
     _ptr, _ptr, _ptr, _ptr, _ptr,                 # ev col/slot/tbs/ok/retx
     _ptr,                                         # counts
 ]
-
-
-def _disabled() -> bool:
-    return os.environ.get(NATIVE_ENV, "").strip().lower() in (
-        "0", "off", "false", "no")
 
 
 def _cache_dir() -> Path:
@@ -108,9 +102,6 @@ def load_kernel():
     if _state["loaded"]:
         return _state["fn"]
     _state["loaded"] = True
-    if _disabled():
-        _state["error"] = f"disabled via {NATIVE_ENV}"
-        return None
     try:
         src = _SOURCE.read_bytes()
         tag = hashlib.sha256(src).hexdigest()[:16]
@@ -121,7 +112,7 @@ def load_kernel():
         fn = lib.repro_retx_period
         fn.restype = _i64
         fn.argtypes = _ARGTYPES
-    except Exception as exc:  # noqa: BLE001 - any failure means fallback
+    except Exception as exc:  # noqa: BLE001 - any failure means no kernel
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None
     _state["fn"] = fn
@@ -135,8 +126,3 @@ def kernel_status() -> dict[str, Any]:
         "available": _state["fn"] is not None,
         "error": _state["error"],
     }
-
-
-def _reset_for_tests() -> None:
-    """Forget the memoized load so tests can exercise both tiers."""
-    _state.update(loaded=False, fn=None, error=None)

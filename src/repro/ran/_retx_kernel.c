@@ -1,16 +1,16 @@
-/* Native batched retransmission kernel for the cohort tensor engine.
+/* Native retransmission kernel for the cohort tensor engine.
  *
- * One call advances every batched dirty column of a single CQI period.
- * The per-column walk is a transliteration of the Python reference
- * `_run_column_period` in tensor.py (itself a flattened transliteration
- * of the per-session engine's run_period/_fallback_slot pair): the
- * cursor visits each slot of the period, serving due retransmissions at
- * eligible slots (the shared retx_fits_slot rule), transmitting new
- * data at special slots that cannot carry an oversized due block (the
- * deferral rule), and committing maximal clean sub-segments bounded by
- * the due head and the first fresh NACK's re-arm point.
+ * One call advances every dirty column of a single CQI period.  The
+ * per-column walk is a transliteration of the per-session engine's
+ * `_VectorizedEngine.run_period` / `_fallback_slot` pair in
+ * simulator.py: the cursor visits each slot of the period, serving due
+ * retransmissions at eligible slots (the shared retx_fits_slot rule),
+ * transmitting new data at special slots that cannot carry an
+ * oversized due block (the deferral rule), and committing maximal clean
+ * sub-segments bounded by the due head and the first fresh NACK's
+ * re-arm point.
  *
- * Byte-identity with the Python tiers is exact because the only
+ * Byte-identity with the Python engines is exact because the only
  * floating-point operations are one IEEE double multiply, one clamp
  * and one comparison per event — `min(1.0, p_hint * scale)` compared
  * against the pre-drawn uniform — with no accumulation anywhere.
@@ -26,20 +26,19 @@
  *
  * Outputs: per-column ack/nack counts over new transmissions, committed
  * sub-segments as (col, lo, hi) triples and served/deferred events as
- * (col, slot, tbs, ok, is_retx) rows — the same buffers the numpy
- * batched pass appends, in identical within-column (chronological)
- * order, so the flush path is shared unchanged.
+ * (col, slot, tbs, ok, is_retx) rows, in chronological order within
+ * each column; the caller's flush turns them into trace writes.
  */
 #include <stdint.h>
 #include <string.h>
 
 int64_t repro_retx_period(
-    /* batched columns */
+    /* dirty columns */
     int64_t nb, const int64_t *bidx, int64_t start, int64_t stop,
     /* lane state: (n_cols, cap) row-major, pending count per column */
     int64_t cap, int64_t *due, int64_t *tbs, int64_t *att, double *ph,
     int64_t *pn, int64_t far_sentinel,
-    /* per-call batched inputs: (nb, m) fresh-failure mask, per-column
+    /* per-call inputs: (nb, m) fresh-failure mask, per-column
      * transmit case and grant sizes */
     const uint8_t *failm, const int64_t *caseb,
     const int64_t *tbsf, const int64_t *tbss,

@@ -18,6 +18,7 @@ from repro.nr.grid import max_rb, re_per_slot
 from repro.nr.mcs import McsTable, Modulation, table_for_max_modulation
 from repro.nr.numerology import Numerology, slot_duration_ms
 from repro.nr.tdd import TddPattern
+from repro.ran import _native
 
 #: Valid ``SimParams.engine`` values (also re-exported by
 #: :mod:`repro.ran.simulator`).  ``"auto"`` and ``"tensor"`` are *policy*
@@ -26,9 +27,10 @@ from repro.nr.tdd import TddPattern
 #: produces byte-identical traces, so the choice is purely performance.
 ENGINES = ("auto", "vectorized", "tensor", "reference")
 
-#: Smallest cohort for which ``engine="auto"`` selects the cross-session
-#: tensor pass.  Below this the per-column bookkeeping of the tensor
-#: engine costs more than the batching saves and ``"vectorized"`` wins.
+#: Smallest cohort for which ``engine="auto"``/``"tensor"`` selects the
+#: cross-session tensor pass.  Below this the per-column bookkeeping of
+#: the tensor engine costs more than the batching saves and
+#: ``"vectorized"`` wins.
 TENSOR_MIN_COHORT = 2
 
 #: Environment override for the engine policy.  When set (to any value
@@ -46,23 +48,29 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
     Decision table (all cells byte-identical — this is a pure
     performance policy; see ``docs/architecture.md``):
 
-    ==============  =================  ============================
-    requested       cohort_size == 1   cohort_size >= TENSOR_MIN_COHORT
-    ==============  =================  ============================
-    ``auto``        ``vectorized``     ``tensor``
-    ``tensor``      ``vectorized``     ``tensor``
-    ``vectorized``  ``vectorized``     ``vectorized`` (per session)
-    ``reference``   ``reference``      ``reference`` (per session)
-    ==============  =================  ============================
+    ==============  ==================  ===============================
+    requested       cohort_size below   cohort_size >= TENSOR_MIN_COHORT
+                    TENSOR_MIN_COHORT
+    ==============  ==================  ===============================
+    ``auto``        ``vectorized``      ``tensor`` (``vectorized``
+                                        without the retx kernel)
+    ``tensor``      ``vectorized``      same as ``auto``
+    ``vectorized``  ``vectorized``      ``vectorized`` (per session)
+    ``reference``   ``reference``       ``reference`` (per session)
+    ==============  ==================  ===============================
 
     ``tensor`` degrades to ``vectorized`` for a cohort of one because
     the tensor pass *is* the segment-batched vectorized engine with a
-    sessions axis — a single column has nothing to batch across.
+    sessions axis — a single column has nothing to batch across.  It
+    also degrades on hosts where the compiled retx kernel
+    (:func:`repro.ran._native.load_kernel`) is unavailable: the kernel
+    is the tensor pass's only path for retransmission work.  The kernel
+    is consulted only for cohorts, so a per-session run never triggers
+    a compile.
 
     The :data:`ENGINE_ENV` environment variable, when set, replaces
-    ``engine`` before the table applies (the ``cohort_size`` degrade
-    rules still hold, so ``REPRO_ENGINE=tensor`` on a lone session
-    still runs vectorized).
+    ``engine`` before the table applies (the degrade rules still hold,
+    so ``REPRO_ENGINE=tensor`` on a lone session still runs vectorized).
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -72,10 +80,10 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
             raise ValueError(
                 f"{ENGINE_ENV} must be one of {ENGINES}, got {override!r}")
         engine = override
-    if engine == "tensor":
-        return "tensor" if cohort_size >= 2 else "vectorized"
-    if engine == "auto":
-        return "tensor" if cohort_size >= TENSOR_MIN_COHORT else "vectorized"
+    if engine in ("auto", "tensor"):
+        if cohort_size >= TENSOR_MIN_COHORT and _native.load_kernel() is not None:
+            return "tensor"
+        return "vectorized"
     return engine
 
 

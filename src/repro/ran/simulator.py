@@ -23,8 +23,9 @@ Three slot engines produce byte-identical traces (``SimParams.engine``):
   retransmission windows.
 - ``"tensor"`` — the cross-session cohort pass in
   :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
-  run as one ``(sessions x slots)`` tensor, with per-column fallback to
-  this module's segment-batched machinery where retx windows diverge.
+  run as one ``(sessions x slots)`` tensor, with retransmission windows
+  walked per column by a compiled transliteration of this module's
+  segment-batched machinery (``_retx_kernel.c``).
 - ``"reference"`` — the original per-slot scalar loop, retained as the
   oracle for the equivalence test matrix.
 
@@ -141,11 +142,11 @@ class SimParams:
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
 # Every engine — the scalar reference oracle, the segment-batched
-# vectorized engine, and the cohort tensor engine's batched retx lanes —
-# answers the same two questions per pending HARQ block: *can this slot
-# serve it* and *with what error probability*.  Both rules live here, in
-# scalar/array-polymorphic form, so an engine cannot re-derive (and
-# silently drift from) the oracle's semantics.
+# vectorized engine, and the cohort tensor engine's compiled retx kernel
+# (which transliterates them in C) — answers the same two questions per
+# pending HARQ block: *can this slot serve it* and *with what error
+# probability*.  Both rules live here, so the Python engines cannot
+# re-derive (and silently drift from) the oracle's semantics.
 
 def retx_fits_slot(is_special, tbs_bits, tbs_special) -> bool:
     """Serve-eligibility of a due retransmission in one slot.
@@ -163,14 +164,9 @@ def retx_error_probability(p_hint, retx_error_scale):
 
     ``min(1, p_hint * retx_error_scale)`` — chase combining recovers
     most of the loss, so the retransmission reuses the original
-    transmission's error probability scaled down.  Accepts a float (the
-    scalar engines) or an ndarray of hints (the cohort batched pass);
-    the array form may write through its temporary, and both forms run
-    the identical IEEE multiply-then-clamp sequence.
+    transmission's error probability scaled down.
     """
     p_retx = p_hint * retx_error_scale
-    if isinstance(p_retx, np.ndarray):
-        return np.minimum(p_retx, 1.0, out=p_retx)
     return p_retx if p_retx < 1.0 else 1.0
 
 

@@ -7,7 +7,8 @@ same npz bytes a campaign export would write.  The matrix covers the
 knobs that reshape the slot loop (modulation table, TDD vs FDD, OLLA
 on/off, retx density via SINR regime, DL vs UL) crossed with cohort
 sizes, plus an adversarial mixed cohort where only some columns ever
-diverge into the per-column fallback runner.
+retransmit.  Tests that call the cohort engine directly need the
+compiled retx kernel and skip on hosts where it cannot be built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.channel.model import SyntheticChannel
 from repro.nr.mcs import Modulation
 from repro.nr.tdd import TddPattern
-from repro.ran import tensor
+from repro.ran import _native, tensor
 from repro.ran.config import CellConfig, resolve_engine
 from repro.ran.simulator import SimParams, simulate_downlink, simulate_uplink
 from repro.ran.tensor import simulate_downlink_cohort, simulate_uplink_cohort
@@ -26,6 +27,10 @@ from repro.xcal.io import npz_bytes, trace_to_arrays
 
 DURATION_S = 1.5
 JITTER_DB = 2.0
+
+requires_kernel = pytest.mark.skipif(
+    _native.load_kernel() is None,
+    reason="compiled retx kernel unavailable (no C compiler?)")
 
 
 def _trace_bytes(trace) -> bytes:
@@ -83,7 +88,7 @@ CASES = {
     "tdd-256qam-good": (_tdd_cell(Modulation.QAM256), 22.0, {}),
     # Mid SINR: OLLA converges to ~10% BLER, every column diverges often.
     "tdd-256qam-mid": (_tdd_cell(Modulation.QAM256), 12.0, {}),
-    # Poor SINR: retx windows dominate, the fallback runner carries most
+    # Poor SINR: retx windows dominate, the retx kernel carries most
     # slots — the tensor pass must still match byte for byte.
     "tdd-256qam-poor": (_tdd_cell(Modulation.QAM256), 2.0, {}),
     "tdd-64qam": (_tdd_cell(Modulation.QAM64, bandwidth_mhz=60), 15.0, {}),
@@ -96,6 +101,7 @@ CASES = {
 }
 
 
+@requires_kernel
 @pytest.mark.parametrize("cohort_size", [3, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
@@ -108,6 +114,7 @@ def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
     assert cohort == singles
 
 
+@requires_kernel
 @pytest.mark.parametrize("seed0", [7, 70])
 def test_uplink_cohort_byte_identical(seed0: int):
     cell = _tdd_cell(Modulation.QAM256)
@@ -118,6 +125,7 @@ def test_uplink_cohort_byte_identical(seed0: int):
     assert cohort == singles
 
 
+@requires_kernel
 def test_cohort_matches_vectorized_engine_too():
     cell, sinr, params = CASES["tdd-256qam-mid"]
     seeds = [90, 91, 92]
@@ -128,14 +136,15 @@ def test_cohort_matches_vectorized_engine_too():
     assert cohort == vec
 
 
+@requires_kernel
 def test_divergent_retx_fallback_mixed_columns():
     """Adversarial cohort: some columns never fail, others retransmit.
 
     With OLLA off and a conservative CQI mapping at high (per-seed
     jittered) SINR, clean columns ride the tensor fast path for the
-    whole session while dirty columns drop into the per-column
-    fallback runner — the counters must show a strict mix, and every
-    column must still match the reference oracle byte for byte.
+    whole session while dirty columns walk their retransmissions
+    through the retx kernel — the cohort must hold a strict mix, and
+    every column must still match the reference oracle byte for byte.
     """
     cell = _tdd_cell(Modulation.QAM256)
     params = dict(olla_enabled=False, cqi_alpha=0.4)
@@ -162,11 +171,9 @@ def test_divergent_retx_fallback_mixed_columns():
     assert cohort == singles
     assert stats["cohorts"] == 1
     assert stats["columns"] == len(seeds)
-    # The adversarial mix: some columns diverged, some never did.
-    assert 0 < stats["columns_touched_fallback"] < len(seeds)
     assert stats["dirty_periods"] > 0
 
-    # The fallback columns really retransmitted; the clean ones did not.
+    # The adversarial mix: some columns retransmitted, some never did.
     retx_counts = []
     for seed in seeds:
         channel, rng = _channel_and_rng(mean, seed, cell, duration, jitter)
@@ -183,14 +190,16 @@ HIGH_BLER_PARAMS = dict(cqi_alpha=2.0, retx_error_scale=1.0,
 HIGH_BLER_SINR = -2.0
 
 
+@requires_kernel
 def test_high_bler_cohort_byte_identical():
-    """Forced >=80% dirty cells: the batched pass carries the cohort.
+    """Forced >=80% dirty cells: the retx kernel carries the cohort.
 
     At -2 dB with an aggressive CQI mapping nearly every (column, period)
     cell holds pending retransmissions, so the clean-bookkeeping tier
-    almost never applies — the batched retx lanes (and, for the deepest
-    backlogs, the residual fallback) do the work and must still match
-    the per-session reference byte for byte.
+    almost never applies — the retx kernel does the work and must still
+    match the per-session reference byte for byte.  This case also
+    covers deep backlogs: 59 of its 646 dirty cells start a period with
+    more than 6 blocks pending.
     """
     cell = _tdd_cell(Modulation.QAM256)
     seeds = list(range(5))
@@ -206,61 +215,40 @@ def test_high_bler_cohort_byte_identical():
     assert stats["batched_periods"] > 0
 
 
-def test_native_and_numpy_retx_tiers_identical(monkeypatch):
-    """The compiled kernel and the portable numpy pass agree bytewise.
+def test_no_kernel_falls_back_to_vectorized(monkeypatch):
+    """Hosts without the compiled retx kernel never run the tensor pass.
 
-    Both tiers must produce identical traces; the counters must also
-    show which tier ran (``native_periods`` collapses to zero when the
-    kernel is forced off).
+    The engine policy resolves cohorts to the per-session vectorized
+    engine — same bytes, no tensor cohorts — and a direct cohort call
+    fails loudly instead of running a slower tier.
     """
-    from repro.ran import _native
+    from repro.core.runner import run_tasks
+    from repro.operators.profiles import EU_PROFILES
+    from repro.xcal.dataset import CampaignSpec, campaign_manifest
 
-    cell = _tdd_cell(Modulation.QAM256)
-    seeds = list(range(20, 24))
-
+    spec = CampaignSpec(minutes_per_operator=0.1, session_s=1.0, seed=11)
+    manifest = campaign_manifest({"V_Sp": EU_PROFILES["V_Sp"]}, spec)
     tensor.reset_cohort_stats()
-    default = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
-                            seeds, **HIGH_BLER_PARAMS)
-    default_stats = tensor.cohort_stats()
+    with_kernel = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
     if _native.load_kernel() is not None:
-        assert default_stats["native_periods"] == \
-            default_stats["batched_periods"] > 0
+        assert tensor.cohort_stats()["cohorts"] > 0
 
-    monkeypatch.setattr(tensor._native, "load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+    assert resolve_engine("auto", 64) == "vectorized"
+    assert resolve_engine("tensor", 64) == "vectorized"
     tensor.reset_cohort_stats()
-    portable = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
-                             seeds, **HIGH_BLER_PARAMS)
-    portable_stats = tensor.cohort_stats()
+    without = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
+    assert without == with_kernel
+    assert tensor.cohort_stats()["cohorts"] == 0
 
-    assert portable == default
-    assert portable_stats["native_periods"] == 0
-    assert portable_stats["batched_periods"] == \
-        default_stats["batched_periods"] > 0
-
-
-def test_forced_residual_cohort(monkeypatch):
-    """Every dirty cell punted to the residual per-column fallback.
-
-    Dropping the backlog threshold below zero forces the batched lanes
-    out of the picture entirely; the scalar fallback must carry the
-    whole dirty load and still match the reference oracle.
-    """
-    monkeypatch.setattr(tensor, "_RESIDUAL_PENDING", -1)
-    cell, sinr, params = CASES["tdd-retx-heavy"]
-    seeds = [30, 31, 32, 33]
-    singles = [_single_bytes(simulate_downlink, cell, sinr, s, "reference",
-                             **params) for s in seeds]
-    tensor.reset_cohort_stats()
-    cohort = _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
-                           **params)
-    stats = tensor.cohort_stats()
-
-    assert cohort == singles
-    assert stats["dirty_periods"] > 0
-    assert stats["residual_periods"] == stats["dirty_periods"]
-    assert stats["batched_periods"] == 0
+    cell, sinr, _ = CASES["tdd-256qam-good"]
+    ch1, rng1 = _channel_and_rng(sinr, 1, cell)
+    ch2, rng2 = _channel_and_rng(sinr, 2, cell)
+    with pytest.raises(RuntimeError, match="retx kernel"):
+        simulate_downlink_cohort(cell, [ch1, ch2], [rng1, rng2])
 
 
+@requires_kernel
 def test_cohort_stats_count_passes():
     tensor.reset_cohort_stats()
     assert tensor.cohort_stats()["cohorts"] == 0
@@ -271,6 +259,7 @@ def test_cohort_stats_count_passes():
     assert stats["slots"] > 0 and stats["seconds"] > 0
 
 
+@requires_kernel
 def test_cohort_validates_inputs():
     cell, sinr, params = CASES["tdd-256qam-good"]
     ch, rng = _channel_and_rng(sinr, 1, cell)
@@ -286,6 +275,12 @@ def test_cohort_validates_inputs():
 
 
 class TestEnginePolicy:
+    @pytest.fixture(autouse=True)
+    def kernel_loaded(self, monkeypatch):
+        # The policy on a host where the retx kernel loads; the no-kernel
+        # column is test_no_kernel_falls_back_to_vectorized.
+        monkeypatch.setattr(_native, "load_kernel", lambda: object())
+
     def test_decision_table(self):
         assert resolve_engine("auto", 1) == "vectorized"
         assert resolve_engine("auto", 2) == "tensor"
