@@ -12,10 +12,9 @@ Commands
     JSONL or npz.
 ``cache``
     Inspect and maintain a session trace store (``stats`` / ``verify``
-    / ``clear`` / ``evict``), and move blobs to/from a shared remote
-    tier (``push`` / ``pull`` / ``sync`` / ``status`` with
-    ``--remote URL``).  ``stats --json`` emits the counters
-    machine-readably — the same serializer the CI gates consume.
+    / ``clear`` / ``evict --max-mb MB``).  ``stats --json`` emits the
+    counters machine-readably — the same serializer the CI gates
+    consume.
 ``bench``
     Run a tracked benchmark: ``--workload slot`` (default) emits
     ``BENCH_slot_engine.json``, ``--workload campaign`` benchmarks the
@@ -124,7 +123,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if unsupported:
             print(f"--reduce is not supported by: {unsupported}", file=sys.stderr)
             return 2
-    store = _open_store(args)
+    try:
+        store = _open_store(args)
+    except ValueError as exc:  # a malformed $REPRO_CACHE_MAX_MB
+        print(str(exc), file=sys.stderr)
+        return 2
     executor = _make_executor(args, store)
     try:
         for experiment_id in ids:
@@ -158,7 +161,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print("--reduce keeps no per-slot traces, so --out has nothing to "
               "export; drop one of the two", file=sys.stderr)
         return 2
-    store = _open_store(args)
+    try:
+        store = _open_store(args)
+    except ValueError as exc:  # a malformed $REPRO_CACHE_MAX_MB
+        print(str(exc), file=sys.stderr)
+        return 2
     executor = _make_executor(args, store)
     try:
         campaign = generate_campaign(spec=spec, jobs=args.jobs, store=store,
@@ -169,41 +176,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     for row in campaign.summary_rows():
         print(row)
     if args.out is not None:
-        try:
-            paths = campaign.export(args.out, format=args.out_format)
-        except RuntimeError as exc:  # e.g. parquet without pyarrow
-            print(str(exc), file=sys.stderr)
-            return 2
+        paths = campaign.export(args.out, format=args.out_format)
         print(f"exported {len(paths)} traces to {args.out}")
     _report_store(store, executor)
     if args.reduce:
         _report_reduce(campaign.reduction.stats)
     return 0
-
-
-def _cache_remote_action(args: argparse.Namespace, store) -> int:
-    """``repro cache push|pull|sync|status --remote URL``."""
-    from repro.store import RemoteError, open_remote, pull, push, status, sync
-
-    if not args.remote:
-        print(f"cache {args.action} needs --remote URL", file=sys.stderr)
-        return 2
-    try:
-        remote = open_remote(args.remote)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        if args.action == "status":
-            print(status(store, remote).render())
-            return 0
-        op = {"push": push, "pull": pull, "sync": sync}[args.action]
-        report = op(store, remote)
-    except RemoteError as exc:
-        print(f"cache {args.action} failed: {exc}", file=sys.stderr)
-        return 1
-    print(report.render())
-    return 1 if report.failed else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -214,8 +192,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"no store: pass --cache DIR or set ${CACHE_DIR_ENV}", file=sys.stderr)
         return 2
     store = TraceStore(root)
-    if args.action in ("push", "pull", "sync", "status"):
-        return _cache_remote_action(args, store)
     if args.action == "stats":
         if args.json:
             import json
@@ -236,7 +212,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.max_mb is None:
             print("evict needs --max-mb", file=sys.stderr)
             return 2
-        evicted = store.evict(int(args.max_mb * 1e6))
+        try:
+            evicted = store.evict(int(args.max_mb * 1e6))
+        except (ValueError, OverflowError):
+            print(f"--max-mb must be a non-negative number of MB, "
+                  f"got {args.max_mb:g}", file=sys.stderr)
+            return 2
         print(f"evicted {len(evicted)} entries (cap {args.max_mb:g} MB)")
     return 0
 
@@ -337,11 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     campaign_parser.add_argument("--cache", **cache_kwargs)
     campaign_parser.add_argument("--out", type=Path, default=None)
     campaign_parser.add_argument("--out-format",
-                                 choices=("csv", "jsonl", "npz", "parquet"),
+                                 choices=("csv", "jsonl", "npz"),
                                  default="csv",
-                                 help="export format (default csv); parquet "
-                                      "needs the optional pyarrow package and "
-                                      "partitions by operator")
+                                 help="export format (default csv)")
     campaign_parser.add_argument("--reduce", action="store_true",
                                  help="fold sessions into streaming KPI "
                                       "sketches; peak memory stays bounded by "
@@ -382,14 +361,10 @@ def main(argv: list[str] | None = None) -> int:
 
     cache_parser = sub.add_parser("cache", help="inspect/maintain a session store")
     cache_parser.add_argument("action",
-                              choices=("stats", "verify", "clear", "evict",
-                                       "push", "pull", "sync", "status"))
+                              choices=("stats", "verify", "clear", "evict"))
     cache_parser.add_argument("--cache", **cache_kwargs)
     cache_parser.add_argument("--max-mb", type=float, default=None,
                               help="size cap for evict, in MB")
-    cache_parser.add_argument("--remote", default=None, metavar="URL",
-                              help="remote tier for push/pull/sync/status "
-                                   "(a directory path or file:// URL)")
     cache_parser.add_argument("--json", action="store_true",
                               help="stats: emit machine-readable counters")
     cache_parser.set_defaults(func=_cmd_cache)

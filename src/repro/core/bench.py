@@ -108,6 +108,29 @@ _MULTI_UES = 4
 _MULTI_SINR_STEP_DB = -3.0
 
 
+def _environment() -> dict[str, Any]:
+    """Interpreter, numpy and CPU of the host a report was measured on."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count() or 1,
+        "cpu_model": _cpu_model(),
+    }
+
+
+def _cpu_model() -> str:
+    """The first ``model name`` in ``/proc/cpuinfo``, else
+    :func:`platform.processor`, else ``"unknown"``."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def single_ue_trace(engine: str = "vectorized", duration_s: float = 5.0,
                     seed: int = 2024):
     """One full-buffer DL trace of the Fig. 1 V_Sp carrier."""
@@ -209,10 +232,7 @@ def measure(quick: bool = False, seed: int = 2024,
             "repetitions": repetitions,
             "seed": seed,
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "environment": _environment(),
         "workloads": workloads,
     }
     if not quick:
@@ -258,6 +278,42 @@ def regression_failures(current: dict[str, Any], baseline: dict[str, Any],
                 f"{name}: vectorized {new_vec:,.0f} slots/s < floor {floor:,.0f} "
                 f"(baseline {base_vec:,.0f} x machine factor {scale:.2f} "
                 f"x {1.0 - threshold:.2f})")
+    return failures
+
+
+def _normalized_failures(current: dict[str, Any], baseline: dict[str, Any],
+                         reference: str, gated: tuple[str, ...],
+                         threshold: float) -> list[str] | None:
+    """The hardware-normalized sessions/sec gate of the campaign, reduce
+    and tensor reports.
+
+    ``reference``'s sessions/sec ratio between the two reports
+    estimates the machine-speed factor; each ``gated`` workload present
+    in ``baseline`` fails when it lost more than ``threshold`` of its
+    sessions/sec after that factor is divided out.  Returns ``None``
+    when either report lacks the reference workload.
+    """
+    try:
+        base_ref = baseline["workloads"][reference]["sessions_per_s"]
+        new_ref = current["workloads"][reference]["sessions_per_s"]
+    except KeyError:
+        return None
+    scale = new_ref / base_ref
+    failures: list[str] = []
+    for name in gated:
+        base = baseline.get("workloads", {}).get(name)
+        if base is None:
+            continue
+        new = current.get("workloads", {}).get(name)
+        if new is None:
+            failures.append(f"{name}: missing from current report")
+            continue
+        floor = (1.0 - threshold) * base["sessions_per_s"] * scale
+        if new["sessions_per_s"] < floor:
+            failures.append(
+                f"{name}: {new['sessions_per_s']:,.2f} sessions/s < floor "
+                f"{floor:,.2f} (baseline {base['sessions_per_s']:,.2f} "
+                f"x machine factor {scale:.2f} x {1.0 - threshold:.2f})")
     return failures
 
 
@@ -489,10 +545,7 @@ def measure_campaign(quick: bool = False, seed: int = 2024,
             "seed": seed,
             "cpu_count": os.cpu_count() or 1,
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "environment": _environment(),
         "pool": pool_stats,
         "workloads": workloads,
         "speedup": {
@@ -585,27 +638,11 @@ def campaign_regression_failures(current: dict[str, Any],
                 f"{warm_name}: {warm['sessions_per_s']:,.2f} sessions/s < "
                 f"{_WARM_VS_COLD_FLOOR:.0f}x its own cold run "
                 f"{cold['sessions_per_s']:,.2f} (memo replay is recomputing)")
-    try:
-        base_ref = baseline["workloads"]["jobs1_cold"]["sessions_per_s"]
-        new_ref = current["workloads"]["jobs1_cold"]["sessions_per_s"]
-    except KeyError:
+    normalized = _normalized_failures(current, baseline, "jobs1_cold",
+                                      _CAMPAIGN_GATED, threshold)
+    if normalized is None:
         return ["jobs1_cold: reference workload missing from a report"]
-    scale = new_ref / base_ref
-    for name in _CAMPAIGN_GATED:
-        base = baseline.get("workloads", {}).get(name)
-        if base is None:
-            continue
-        new = current.get("workloads", {}).get(name)
-        if new is None:
-            failures.append(f"{name}: missing from current report")
-            continue
-        floor = (1.0 - threshold) * base["sessions_per_s"] * scale
-        if new["sessions_per_s"] < floor:
-            failures.append(
-                f"{name}: {new['sessions_per_s']:,.2f} sessions/s < floor "
-                f"{floor:,.2f} (baseline {base['sessions_per_s']:,.2f} "
-                f"x machine factor {scale:.2f} x {1.0 - threshold:.2f})")
-    return failures
+    return failures + normalized
 
 
 def render_campaign(report: dict[str, Any]) -> str:
@@ -841,10 +878,7 @@ def measure_reduce(quick: bool = False, seed: int = 2024,
             "cold_reps": cold_reps,
             "seed": seed,
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "environment": _environment(),
         "workloads": workloads,
         "kpi_check": kpi_check,
         "speedup": {
@@ -891,27 +925,10 @@ def reduce_regression_failures(current: dict[str, Any],
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    failures: list[str] = []
-    try:
-        base_ref = baseline["workloads"]["exact_cold"]["sessions_per_s"]
-        new_ref = current["workloads"]["exact_cold"]["sessions_per_s"]
-    except KeyError:
+    failures = _normalized_failures(current, baseline, "exact_cold",
+                                    _REDUCE_GATED, threshold)
+    if failures is None:
         return ["exact_cold: reference workload missing from a report"]
-    scale = new_ref / base_ref
-    for name in _REDUCE_GATED:
-        base = baseline.get("workloads", {}).get(name)
-        if base is None:
-            continue
-        new = current.get("workloads", {}).get(name)
-        if new is None:
-            failures.append(f"{name}: missing from current report")
-            continue
-        floor = (1.0 - threshold) * base["sessions_per_s"] * scale
-        if new["sessions_per_s"] < floor:
-            failures.append(
-                f"{name}: {new['sessions_per_s']:,.2f} sessions/s < floor "
-                f"{floor:,.2f} (baseline {base['sessions_per_s']:,.2f} "
-                f"x machine factor {scale:.2f} x {1.0 - threshold:.2f})")
     kpi = current.get("kpi_check")
     if not kpi or not kpi.get("ok"):
         failures.append("kpi_check: exact-vs-sketch oracle failed "
@@ -1132,10 +1149,7 @@ def measure_tensor(quick: bool = False, seed: int = 2024) -> dict[str, Any]:
             "cold_reps": cold_reps,
             "seed": seed,
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "environment": _environment(),
         "workloads": workloads,
         "cohort": cohort_info,
         "phases": phases,
@@ -1187,27 +1201,11 @@ def tensor_regression_failures(current: dict[str, Any],
             "cohort: no tensor cohorts ran (engine policy degraded every "
             "cohort to the per-session engine; native kernel error: "
             f"{cohort.get('native_error')})")
-    try:
-        base_ref = baseline["workloads"]["session_cold"]["sessions_per_s"]
-        new_ref = current["workloads"]["session_cold"]["sessions_per_s"]
-    except KeyError:
+    normalized = _normalized_failures(current, baseline, "session_cold",
+                                      _TENSOR_GATED, threshold)
+    if normalized is None:
         return ["session_cold: reference workload missing from a report"]
-    scale = new_ref / base_ref
-    for name in _TENSOR_GATED:
-        base = baseline.get("workloads", {}).get(name)
-        if base is None:
-            continue
-        new = current.get("workloads", {}).get(name)
-        if new is None:
-            failures.append(f"{name}: missing from current report")
-            continue
-        floor = (1.0 - threshold) * base["sessions_per_s"] * scale
-        if new["sessions_per_s"] < floor:
-            failures.append(
-                f"{name}: {new['sessions_per_s']:,.2f} sessions/s < floor "
-                f"{floor:,.2f} (baseline {base['sessions_per_s']:,.2f} "
-                f"x machine factor {scale:.2f} x {1.0 - threshold:.2f})")
-    return failures
+    return failures + normalized
 
 
 def render_tensor(report: dict[str, Any]) -> str:
@@ -1269,13 +1267,12 @@ def history_report(root: Path | str = ".") -> dict[str, Any]:
         except (OSError, ValueError) as exc:
             skipped.append(f"{path.name}: {exc}")
             continue
-        kind = data.get("bench")
-        if not isinstance(data, dict) or not isinstance(kind, str):
+        if not isinstance(data, dict) or not isinstance(data.get("bench"), str):
             skipped.append(f"{path.name}: not a bench report")
             continue
         entry: dict[str, Any] = {
             "file": path.name,
-            "kind": kind,
+            "kind": data["bench"],
             "quick": bool(data.get("quick")),
             "schema": data.get("schema"),
         }

@@ -10,15 +10,11 @@ after.
   computes, hashed stably across processes);
 - :mod:`repro.store.codec` — session results <-> deterministic npz;
 - :mod:`repro.store.backend` — the sharded, hash-verified, atomically
-  written on-disk store with quarantine and LRU eviction;
-- :mod:`repro.store.remote` — the shared tier: push/pull/sync of raw
-  blobs between a local store and a peer (content-addressed keys make
-  the merge conflict-free), with pull-side integrity verification.
+  written on-disk store with quarantine and LRU eviction.
 
 Wire-up lives in :func:`repro.core.runner.run_tasks` (``store=`` splits
 a manifest into hits and misses) and the ``--cache`` / ``repro cache``
-CLI surface (``repro cache push|pull|sync|status`` for the remote
-tier).
+CLI surface (``repro cache stats|verify|clear|evict``).
 """
 
 from repro.store.backend import CACHE_DIR_ENV, CACHE_MAX_MB_ENV, StoreStats, TraceStore
@@ -29,41 +25,17 @@ from repro.store.keys import (
     canonical_json,
     task_fingerprint,
 )
-from repro.store.remote import (
-    LocalDirectoryRemote,
-    RemoteError,
-    RemoteStore,
-    RetryPolicy,
-    SyncReport,
-    open_remote,
-    pull,
-    push,
-    register_remote_scheme,
-    status,
-    sync,
-)
 
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_MAX_MB_ENV",
     "CODEC_VERSION",
-    "LocalDirectoryRemote",
-    "RemoteError",
-    "RemoteStore",
-    "RetryPolicy",
     "STORE_SCHEMA_VERSION",
     "StoreStats",
-    "SyncReport",
     "TraceStore",
     "UnfingerprintableTask",
     "canonical_json",
     "decode",
     "encode",
-    "open_remote",
-    "pull",
-    "push",
-    "register_remote_scheme",
-    "status",
-    "sync",
     "task_fingerprint",
 ]

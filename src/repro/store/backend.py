@@ -46,6 +46,11 @@ CACHE_DIR_ENV = "REPRO_CACHE"
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 
+def _check_max_bytes(max_bytes: int) -> None:
+    if max_bytes < 0:
+        raise ValueError("max_bytes must be non-negative")
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Aggregate state of a store (plus this process's hit/miss tally)."""
@@ -86,8 +91,8 @@ class TraceStore:
     """Content-addressed cache of simulated session results."""
 
     def __init__(self, root: str | Path, max_bytes: int | None = None) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative")
+        if max_bytes is not None:
+            _check_max_bytes(max_bytes)
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.salt = STORE_SCHEMA_VERSION * 1000 + codec.CODEC_VERSION
@@ -111,7 +116,14 @@ class TraceStore:
         if root is None:
             return None
         max_mb = os.environ.get(CACHE_MAX_MB_ENV)
-        max_bytes = int(float(max_mb) * 1e6) if max_mb else None
+        if not max_mb:
+            return cls(root)
+        try:
+            max_bytes = int(float(max_mb) * 1e6)
+            _check_max_bytes(max_bytes)
+        except (ValueError, OverflowError):
+            raise ValueError(f"${CACHE_MAX_MB_ENV} must be a non-negative "
+                             f"number of MB, got {max_mb!r}") from None
         return cls(root, max_bytes=max_bytes)
 
     # ------------------------------------------------------------------ #
@@ -130,23 +142,6 @@ class TraceStore:
 
     def _sidecars(self) -> Iterator[Path]:
         yield from sorted((self.root / "objects").glob("*/*.json"))
-
-    def keys(self) -> list[str]:
-        """Keys of every complete entry (sidecar present), sorted.
-
-        A sidecar implies a complete payload (writes land payload first),
-        so this is the store's shareable inventory — what the remote tier
-        pushes and diffs against a peer.
-        """
-        return [path.stem for path in self._sidecars()]
-
-    def object_paths(self, key: str) -> tuple[Path, Path]:
-        """``(payload, sidecar)`` paths of ``key`` in the sharded layout.
-
-        Public for the remote tier (:mod:`repro.store.remote`), which
-        moves raw blob bytes without decoding them.
-        """
-        return self._paths(key)
 
     # ------------------------------------------------------------------ #
     # Get / put
@@ -318,8 +313,10 @@ class TraceStore:
         """LRU-evict entries until the store fits ``max_bytes``.
 
         Least-recently-*accessed* first (the sidecar mtime, touched on
-        every hit).  Returns the evicted keys.
+        every hit).  Returns the evicted keys.  A negative budget is a
+        ``ValueError``, as in :meth:`__init__`, not "evict everything".
         """
+        _check_max_bytes(max_bytes)
         entries = []
         total = 0
         for sidecar_path in self._sidecars():

@@ -32,24 +32,16 @@ from repro.core.runner import (SessionTask, derive_seed,
 from repro.ran.config import resolve_engine
 from repro.ran.simulator import simulate_downlink, simulate_uplink
 from repro.ran.tensor import simulate_downlink_cohort, simulate_uplink_cohort
-from repro.xcal.io import write_csv, write_jsonl, write_npz, write_parquet
+from repro.xcal.io import write_csv, write_jsonl, write_npz
 from repro.xcal.records import SlotTrace, TraceMetadata
 
-#: Trace writer and file suffix per export format.  Parquet needs the
-#: optional pyarrow package — listing it here keeps format discovery
-#: uniform; the writer raises an actionable RuntimeError if pyarrow is
-#: missing.
+#: Trace writer and file suffix per export format; the CLI's
+#: ``--out-format`` choices.
 EXPORT_FORMATS = {
     "csv": (write_csv, ".csv"),
     "jsonl": (write_jsonl, ".jsonl"),
     "npz": (write_npz, ".npz"),
-    "parquet": (write_parquet, ".parquet"),
 }
-
-#: Formats whose exports are laid out as hive-style partitions
-#: (``operator=<key>/...``) instead of flat files — the layout query
-#: engines (DuckDB, Spark, pandas) prune on.
-_PARTITIONED_FORMATS = frozenset({"parquet"})
 
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -142,11 +134,9 @@ class MeasurementCampaign:
         """Write every trace under ``directory``; returns paths.
 
         ``format`` is one of :data:`EXPORT_FORMATS` (``csv``, ``jsonl``,
-        ``npz``, ``parquet``).  Operator keys are sanitized for
-        filenames.  Flat formats write ``<operator>_<kind>_<i>`` files
-        directly under ``directory``; parquet exports are partitioned
-        hive-style (``operator=<key>/<kind>_<i>.parquet``) so dataset
-        readers can prune whole operators without opening a file.
+        ``npz``).  Each trace lands as ``<operator>_<kind>_<i>`` directly
+        under ``directory``, with the operator key sanitized for
+        filenames.
         """
         try:
             writer, suffix = EXPORT_FORMATS[format]
@@ -156,18 +146,12 @@ class MeasurementCampaign:
             ) from None
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        partitioned = format in _PARTITIONED_FORMATS
         paths: list[Path] = []
         for kind, collection in (("dl", self.dl_traces), ("ul", self.ul_traces)):
             for key, traces in collection.items():
                 safe = _filename_key(key)
                 for i, trace in enumerate(traces):
-                    if partitioned:
-                        part = directory / f"operator={safe}"
-                        part.mkdir(exist_ok=True)
-                        target = part / f"{kind}_{i:03d}{suffix}"
-                    else:
-                        target = directory / f"{safe}_{kind}_{i:03d}{suffix}"
+                    target = directory / f"{safe}_{kind}_{i:03d}{suffix}"
                     paths.append(writer(trace, target))
         return paths
 

@@ -1,4 +1,4 @@
-"""Trace serialization: CSV, JSONL, columnar npz and optional Parquet.
+"""Trace serialization: CSV, JSONL and columnar npz.
 
 The released artifact repository ships per-section CSV extracts; these
 readers/writers round-trip our :class:`~repro.xcal.records.SlotTrace`
@@ -240,65 +240,3 @@ def read_npz(path: str | Path) -> SlotTrace:
     """Read a trace written by :func:`write_npz`."""
     arrays, meta = npz_arrays(Path(path).read_bytes())
     return arrays_to_trace(arrays, meta)
-
-
-# ---------------------------------------------------------------------- #
-# Parquet (optional, via pyarrow)
-# ---------------------------------------------------------------------- #
-#: Schema-metadata key holding the trace's metadata pairs as JSON.
-_PARQUET_META_KEY = b"repro.trace_meta"
-
-
-def _require_pyarrow():
-    """The ``pyarrow.parquet`` module, or a clean error.
-
-    Parquet export is an optional integration: the simulator never
-    needs it, so pyarrow is not a dependency.  Importing lazily here
-    keeps ``import repro`` arrow-free and turns a missing wheel into an
-    actionable message at the one call site that wanted it.
-    """
-    try:
-        import pyarrow  # noqa: F401  (parquet needs the parent package)
-        import pyarrow.parquet as pq
-    except ImportError as exc:
-        raise RuntimeError(
-            "parquet export requires the optional 'pyarrow' package "
-            "(pip install pyarrow); csv, jsonl and npz formats work "
-            "without it") from exc
-    return pq
-
-
-def write_parquet(trace: SlotTrace, path: str | Path) -> Path:
-    """Write a trace as a Parquet file; returns the path.
-
-    One row per slot, one Arrow column per trace column (bool columns
-    stay bool, counters int64, the rest float64).  The trace metadata
-    travels as file-level schema metadata under ``repro.trace_meta`` —
-    the Parquet analogue of the CSV ``#`` header — so the file is both
-    self-describing for external tools (DuckDB, pandas, Spark) and
-    round-trippable through :func:`read_parquet`.  Requires the
-    optional ``pyarrow`` package; raises :class:`RuntimeError` with an
-    install hint when it is missing.
-    """
-    pq = _require_pyarrow()
-    import pyarrow as pa
-
-    path = Path(path)
-    table = pa.table({name: trace.column(name) for name in TRACE_COLUMNS})
-    meta_json = json.dumps(_metadata_pairs(trace), sort_keys=True)
-    table = table.replace_schema_metadata(
-        {_PARQUET_META_KEY: meta_json.encode()})
-    pq.write_table(table, path)
-    return path
-
-
-def read_parquet(path: str | Path) -> SlotTrace:
-    """Read a trace written by :func:`write_parquet`."""
-    pq = _require_pyarrow()
-
-    table = pq.read_table(Path(path))
-    schema_meta = table.schema.metadata or {}
-    pairs = json.loads(schema_meta.get(_PARQUET_META_KEY, b"{}").decode())
-    arrays = {name: np.asarray(table.column(name))
-              for name in table.column_names}
-    return arrays_to_trace(arrays, pairs)

@@ -48,9 +48,10 @@ class TestHistoryReport:
         _write(tmp_path / "BENCH_campaign.json", _campaign_report())
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         _write(tmp_path / "BENCH_other.json", {"no": "bench key"})
+        _write(tmp_path / "BENCH_x.json", [])
         report = bench.history_report(tmp_path)
         assert [e["kind"] for e in report["reports"]] == ["campaign"]
-        assert len(report["skipped"]) == 2
+        assert len(report["skipped"]) == 3
 
     def test_empty_directory(self, tmp_path):
         report = bench.history_report(tmp_path)

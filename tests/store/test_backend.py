@@ -178,6 +178,10 @@ class TestLruEviction:
     def test_evict_to_zero_empties_store(self, store):
         for tag in "ab":
             store.put(_key(tag), _trace())
+        # A negative budget is rejected, as in __init__, not "evict all".
+        with pytest.raises(ValueError, match="non-negative"):
+            store.evict(-1)
+        assert store.stats().entries == 2
         assert len(store.evict(0)) == 2
         assert store.stats().entries == 0
 
@@ -237,14 +241,6 @@ class TestAccounting:
         assert document["root"] == str(store.root)
         assert json.loads(json.dumps(document)) == document
 
-    def test_keys_and_object_paths(self, store):
-        for tag in "ba":
-            store.put(_key(tag), _trace())
-        assert store.keys() == sorted([_key("a"), _key("b")])
-        payload, sidecar = store.object_paths(_key("a"))
-        assert payload.exists() and sidecar.exists()
-        assert json.loads(sidecar.read_text())["key"] == _key("a")
-
 
 class TestQuarantineRecompute:
     def _manifest(self):
@@ -263,8 +259,8 @@ class TestQuarantineRecompute:
         manifest = self._manifest()
         first = run_tasks(manifest, jobs=1, store=store)
         assert store.misses == len(manifest)
-        [key] = store.keys()
-        payload, _ = store.object_paths(key)
+        [payload] = (store.root / "objects").glob("*/*.npz")
+        key = payload.stem
         good_bytes = payload.read_bytes()
         payload.write_bytes(b"garbage" + good_bytes[7:])
 
@@ -273,7 +269,7 @@ class TestQuarantineRecompute:
         # deterministic simulation wrote back byte-identical content
         assert (store.root / "quarantine" / f"{key}.npz").exists()
         assert store.misses == 2 * len(manifest)
-        assert store.keys() == [key]
+        assert [p.stem for p in (store.root / "objects").glob("*/*.json")] == [key]
         assert payload.read_bytes() == good_bytes
         ok, bad = store.verify()
         assert ok == 1 and not bad

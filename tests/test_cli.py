@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import EXPERIMENT_IDS
+from repro.store import TraceStore
 
 
 class TestList:
@@ -209,8 +210,27 @@ class TestCacheCommand:
         self._warm(cache, capsys)
         assert main(["cache", "evict", "--cache", cache]) == 2
         assert "--max-mb" in capsys.readouterr().err
+        # A negative cap is rejected, not read as "evict everything".
+        entries = TraceStore(cache).stats().entries
+        assert entries > 0
+        assert main(["cache", "evict", "--cache", cache, "--max-mb", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "--max-mb must be a non-negative number of MB, got -1\n"
+        assert TraceStore(cache).stats().entries == entries
         assert main(["cache", "evict", "--cache", cache, "--max-mb", "0"]) == 0
         assert "evicted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, value", [
+        (["run", "eq32"], "abc"),
+        (["campaign", "--minutes", "0.05", "--session", "3"], "-5"),
+    ])
+    def test_invalid_max_mb_env_rejected(self, tmp_path, capsys, monkeypatch,
+                                         argv, value):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", value)
+        assert main(argv + ["--cache", str(tmp_path / "cache")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"$REPRO_CACHE_MAX_MB must be a non-negative number " \
+                      f"of MB, got {value!r}\n"
 
 
 class TestCacheJsonStats:
@@ -228,54 +248,6 @@ class TestCacheJsonStats:
         assert set(document) == {"root", "entries", "total_bytes",
                                  "quarantined", "hits", "misses",
                                  "bytes_read", "bytes_written"}
-
-
-class TestCacheRemoteCommands:
-    def _warm(self, cache, capsys):
-        assert main(["campaign", "--minutes", "0.05", "--session", "3",
-                     "--cache", cache]) == 0
-        capsys.readouterr()
-
-    def test_remote_required(self, tmp_path, capsys):
-        assert main(["cache", "push", "--cache", str(tmp_path / "c")]) == 2
-        assert "--remote" in capsys.readouterr().err
-
-    def test_unknown_scheme_rejected(self, tmp_path, capsys):
-        assert main(["cache", "push", "--cache", str(tmp_path / "c"),
-                     "--remote", "s3://bucket"]) == 2
-        assert "unknown remote scheme" in capsys.readouterr().err
-
-    def test_push_pull_round_trip_byte_identical(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        self._warm(cache, capsys)
-        remote = str(tmp_path / "remote")
-        assert main(["cache", "push", "--cache", cache, "--remote", remote]) == 0
-        out = capsys.readouterr().out
-        assert "pushed=" in out and "failed=0" in out
-
-        other = tmp_path / "other"
-        assert main(["cache", "pull", "--cache", str(other),
-                     "--remote", remote]) == 0
-        assert "pulled=" in capsys.readouterr().out
-        ours = sorted((tmp_path / "cache" / "objects").rglob("*.npz"))
-        theirs = sorted((other / "objects").rglob("*.npz"))
-        assert [p.name for p in ours] == [p.name for p in theirs]
-        for a, b in zip(ours, theirs):
-            assert a.read_bytes() == b.read_bytes()
-
-    def test_status_and_sync(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        self._warm(cache, capsys)
-        remote = str(tmp_path / "remote")
-        assert main(["cache", "status", "--cache", cache,
-                     "--remote", remote]) == 0
-        assert "local-only=" in capsys.readouterr().out
-        assert main(["cache", "sync", "--cache", cache,
-                     "--remote", remote]) == 0
-        capsys.readouterr()
-        assert main(["cache", "status", "--cache", cache,
-                     "--remote", remote]) == 0
-        assert "local-only=0" in capsys.readouterr().out
 
 
 class TestTopLevelApi:

@@ -90,9 +90,10 @@ class TestExportFormats:
             assert len(loaded) > 0
             assert loaded.metadata.operator in ("Vodafone", "Orange")
 
-    def test_unknown_format_rejected(self, small_campaign, tmp_path):
+    @pytest.mark.parametrize("format", ["xlsx", "parquet"])
+    def test_unknown_format_rejected(self, small_campaign, tmp_path, format):
         with pytest.raises(ValueError, match="unknown export format"):
-            small_campaign.export(tmp_path, format="xlsx")
+            small_campaign.export(tmp_path, format=format)
 
     def test_operator_keys_sanitized_in_filenames(self, tmp_path):
         from repro.xcal.dataset import _filename_key
