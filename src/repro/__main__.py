@@ -16,17 +16,20 @@ Commands
     counters machine-readably — the same serializer the CI gates
     consume.
 ``bench``
-    Run a tracked benchmark: ``--workload slot`` (default) emits
-    ``BENCH_slot_engine.json``, ``--workload campaign`` benchmarks the
-    execution layer end to end and emits ``BENCH_campaign.json``,
-    ``--workload reduce`` benchmarks the streaming-reduction path and
-    emits ``BENCH_reduce.json``, and ``--workload tensor`` benchmarks
-    the cross-session cohort engine against the per-session vectorized
-    engine and emits ``BENCH_tensor.json`` (``--baseline`` compares
-    against a committed report and fails on hardware-normalized
-    regressions; ``--profile`` wraps any workload in cProfile and
-    writes a ``.pstats`` dump plus a top-20 cumulative-time table next
-    to the BENCH json).
+    Run one tracked benchmark workload from the table in
+    :mod:`repro.core.bench`: ``--workload slot`` (default, the slot
+    engines, ``BENCH_slot_engine.json``), ``campaign`` (the execution
+    layer end to end, ``BENCH_campaign.json``), ``reduce`` (the
+    streaming-reduction path, ``BENCH_reduce.json``) or ``tensor`` (the
+    cohort engine against the per-session engine, ``BENCH_tensor.json``).
+    ``--baseline FILE`` gates the run against a committed report of the
+    same workload: exit 1 on a hardware-normalized regression or a
+    missed intra-report floor, exit 2 before measuring when the
+    baseline is unreadable, not a JSON object or of another workload,
+    or when ``--threshold`` is outside (0, 1).  ``--profile`` wraps the
+    run in cProfile and writes a ``.pstats`` dump plus a top-20
+    cumulative-time table next to the BENCH json; ``--history`` folds
+    every committed BENCH json into one trajectory table instead.
 
 ``run`` and ``campaign`` accept ``--jobs N`` (or ``--jobs auto``) to
 fan independent sessions out to a process pool, and ``--cache DIR``
@@ -222,6 +225,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold_arg(value: str) -> float:
+    """argparse type for ``bench --threshold``: a fraction in (0, 1)."""
+    try:
+        threshold = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not 0.0 < threshold < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in (0, 1), got {value!r}")
+    return threshold
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.core import bench
 
@@ -232,13 +247,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             bench.write_report(report, args.out)
             print(f"wrote {args.out}")
         return 0
-    baseline = bench.load_report(args.baseline) if args.baseline else None
-    expected = {"campaign": "campaign", "reduce": "reduce",
-                "tensor": "tensor"}.get(args.workload, "slot_engine")
-    if baseline is not None and baseline.get("bench") != expected:
-        print(f"baseline {args.baseline} is a {baseline.get('bench')!r} report, "
-              f"not {expected!r}", file=sys.stderr)
-        return 2
+    workload = bench.WORKLOADS[args.workload]
+    baseline = None
+    if args.baseline is not None:
+        try:
+            baseline = bench.load_report(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
+            return 2
+        kind = baseline.get("bench") if isinstance(baseline, dict) else None
+        if kind != workload.bench:
+            print(f"baseline {args.baseline} is not a {workload.bench!r} report "
+                  f"(found {kind!r})", file=sys.stderr)
+            return 2
     profiler = None
     if args.profile:
         import cProfile
@@ -246,34 +267,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        if args.workload == "campaign":
-            report = bench.measure_campaign(quick=args.quick, seed=args.seed,
-                                            jobs=args.jobs)
-            rendered, regressions = bench.render_campaign, bench.campaign_regression_failures
-        elif args.workload == "reduce":
-            report = bench.measure_reduce(quick=args.quick, seed=args.seed,
-                                          jobs=args.jobs)
-            rendered, regressions = bench.render_reduce, bench.reduce_regression_failures
-        elif args.workload == "tensor":
-            report = bench.measure_tensor(quick=args.quick, seed=args.seed)
-            rendered, regressions = bench.render_tensor, bench.tensor_regression_failures
-        else:
-            report = bench.measure(quick=args.quick, seed=args.seed)
-            rendered, regressions = bench.render, bench.regression_failures
+        report = bench.measure(workload=args.workload, quick=args.quick,
+                               seed=args.seed, jobs=args.jobs)
     finally:
         if profiler is not None:
             profiler.disable()
-    print(rendered(report))
+    print(bench.render(report))
     if args.out is not None:
         bench.write_report(report, args.out)
         print(f"wrote {args.out}")
     if profiler is not None:
-        profile_anchor = args.out if args.out is not None \
-            else Path(f"BENCH_{expected}.json")
+        profile_anchor = args.out if args.out is not None else Path(workload.file)
         pstats_path, table_path = bench.write_profile(profiler, profile_anchor)
         print(f"wrote {pstats_path} and {table_path}")
     if baseline is not None:
-        failures = regressions(report, baseline, threshold=args.threshold)
+        failures = bench.regression_failures(report, baseline,
+                                             threshold=args.threshold)
         for failure in failures:
             print(f"REGRESSION {failure}", file=sys.stderr)
         if failures:
@@ -343,15 +352,16 @@ def main(argv: list[str] | None = None) -> int:
                               help="short workloads, fewer repetitions (CI mode)")
     bench_parser.add_argument("--seed", type=int, default=2024)
     bench_parser.add_argument("--jobs", type=_jobs_arg, default="auto", metavar="N|auto",
-                              help="worker count for the campaign workload "
-                                   "(default auto)")
+                              help="worker count for the campaign and reduce "
+                                   "workloads (default auto); slot and tensor "
+                                   "run serially")
     bench_parser.add_argument("--out", type=Path, default=None, metavar="FILE",
                               help="write the JSON report here (e.g. "
                                    "BENCH_slot_engine.json, BENCH_campaign.json)")
     bench_parser.add_argument("--baseline", type=Path, default=None, metavar="FILE",
                               help="committed report to compare against; exit 1 "
                                    "on a hardware-normalized regression")
-    bench_parser.add_argument("--threshold", type=float, default=0.30,
+    bench_parser.add_argument("--threshold", type=_threshold_arg, default=0.30,
                               help="allowed fractional regression (default 0.30)")
     bench_parser.add_argument("--profile", action="store_true",
                               help="wrap the workload in cProfile; write a "

@@ -1,4 +1,5 @@
-"""Tests for the tracked slot-engine benchmark (``repro bench``)."""
+"""Tests for the tracked benchmarks (``repro bench``): the one gate and
+renderer over the workload table."""
 
 from __future__ import annotations
 
@@ -7,6 +8,83 @@ import copy
 import pytest
 
 from repro.core import bench
+
+
+def _halve_rates(report: dict) -> dict:
+    """``report`` on a machine half as fast: every timed row's rate halved."""
+    slower = copy.deepcopy(report)
+    for data in slower["workloads"].values():
+        for cell in (data, data.get("vectorized"), data.get("reference")):
+            for key in ("sessions_per_s", "warm_slots_per_s"):
+                if cell and key in cell:
+                    cell[key] /= 2.0
+    return slower
+
+
+def _halved(report: dict, name: str, engine: str | None = None) -> dict:
+    """``report`` with one row's rate halved."""
+    current = copy.deepcopy(report)
+    cell = current["workloads"][name]
+    if engine is None:
+        cell["sessions_per_s"] /= 2.0
+    else:
+        cell[engine]["warm_slots_per_s"] /= 2.0
+    return current
+
+
+class _GateBehaviours:
+    """Gate behaviours every workload of :data:`bench.WORKLOADS` shares.
+
+    Each ``Test*RegressionGate`` subclass runs them for one workload: its
+    table key, its baseline report, a current report in which only the
+    gated row slowed (and the names its failures start with), a row
+    whose deletion is reported cleanly, and an out-of-range threshold.
+    Subclasses bind the last two behaviours under their own test names.
+    """
+
+    workload: str
+    bad_threshold: float
+    missing_row: str
+    missing_failure: str
+    slowdown_failures: list[str]
+
+    def baseline(self) -> dict:
+        raise NotImplementedError
+
+    def gated_slowdown(self, base: dict) -> dict:
+        raise NotImplementedError
+
+    def identical(self) -> dict:
+        return self.baseline()
+
+    def test_table_entry_matches_report_kind(self):
+        assert bench.WORKLOADS[self.workload].bench == self.baseline()["bench"]
+
+    def test_identical_reports_pass(self):
+        report = self.identical()
+        assert bench.regression_failures(report, report) == []
+
+    def test_uniform_slowdown_is_hardware_normalized_away(self):
+        base = self.baseline()
+        assert bench.regression_failures(_halve_rates(base), base) == []
+
+    def test_threshold_validated(self):
+        with pytest.raises(ValueError):
+            bench.regression_failures(self.baseline(), self.baseline(),
+                                      threshold=self.bad_threshold)
+
+    def gated_only_slowdown_fails(self):
+        base = self.baseline()
+        failures = bench.regression_failures(self.gated_slowdown(base), base,
+                                             threshold=0.30)
+        assert sorted(f.split(":")[0] for f in failures) == \
+            sorted(self.slowdown_failures)
+
+    def missing_row_reports_cleanly(self):
+        base = self.baseline()
+        current = copy.deepcopy(base)
+        del current["workloads"][self.missing_row]
+        assert bench.regression_failures(current, base) == [self.missing_failure]
 
 
 def _report(single_vec=800_000.0, single_ref=600_000.0,
@@ -25,41 +103,41 @@ def _report(single_vec=800_000.0, single_ref=600_000.0,
                          "reference": cell(multi_ref), "n_slots": 4000,
                          "n_ues": 4},
         },
+        "speedup": {
+            "single_ue_vectorized_vs_reference": round(single_vec / single_ref, 2),
+            "multi_ue_vectorized_vs_reference": round(multi_vec / multi_ref, 2),
+        },
     }
 
 
-class TestRegressionGate:
-    def test_identical_reports_pass(self):
-        report = _report()
+class TestRegressionGate(_GateBehaviours):
+    workload, bad_threshold = "slot", 1.5
+    missing_row = "multi_ue"
+    missing_failure = "multi_ue: missing from current report"
+    slowdown_failures = ["single_ue"]
+
+    def baseline(self):
+        return _report()
+
+    def gated_slowdown(self, base):
+        return _halved(base, "single_ue", "vectorized")
+
+    test_vectorized_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_missing_workload_fails = _GateBehaviours.missing_row_reports_cleanly
+
+    def test_vectorized_not_beating_reference_fails(self):
+        # The vectorized engine's warm floor is the reference engine's
+        # warm rate, in both modes.
+        for quick in (True, False):
+            report = _report(multi_vec=30_000.0, multi_ref=35_000.0)
+            report["quick"] = quick
+            failures = bench.regression_failures(report, report)
+            assert [f.split(":")[0] for f in failures] == [
+                "multi_ue_vectorized_vs_reference"]
+
+    def test_vectorized_matching_reference_passes(self):
+        report = _report(single_vec=600_000.0, single_ref=600_000.0)
         assert bench.regression_failures(report, report) == []
-
-    def test_uniform_slowdown_is_hardware_normalized_away(self):
-        # A machine half as fast slows both engines; no regression.
-        base = _report()
-        current = copy.deepcopy(base)
-        for data in current["workloads"].values():
-            for engine in ("vectorized", "reference"):
-                data[engine]["warm_slots_per_s"] /= 2.0
-        assert bench.regression_failures(current, base) == []
-
-    def test_vectorized_only_slowdown_fails(self):
-        base = _report()
-        current = copy.deepcopy(base)
-        current["workloads"]["single_ue"]["vectorized"]["warm_slots_per_s"] /= 2.0
-        failures = bench.regression_failures(current, base, threshold=0.30)
-        assert len(failures) == 1
-        assert failures[0].startswith("single_ue:")
-
-    def test_missing_workload_fails(self):
-        base = _report()
-        current = copy.deepcopy(base)
-        del current["workloads"]["multi_ue"]
-        failures = bench.regression_failures(current, base)
-        assert failures == ["multi_ue: missing from current report"]
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            bench.regression_failures(_report(), _report(), threshold=1.5)
 
 
 def _campaign_report(jobs1_cold=50.0, jobs1_warm=400.0, pipe=90.0,
@@ -94,38 +172,34 @@ def _campaign_report(jobs1_cold=50.0, jobs1_warm=400.0, pipe=90.0,
     }
 
 
-class TestCampaignRegressionGate:
-    def test_identical_reports_pass(self):
-        report = _campaign_report()
-        assert bench.campaign_regression_failures(report, report) == []
+class TestCampaignRegressionGate(_GateBehaviours):
+    workload, bad_threshold = "campaign", 0.0
+    missing_row = "jobs1_cold"
+    missing_failure = "jobs1_cold: reference workload missing from a report"
+    slowdown_failures = ["store_routed_cold"]
 
-    def test_uniform_slowdown_is_hardware_normalized_away(self):
-        base = _campaign_report()
-        current = copy.deepcopy(base)
-        for data in current["workloads"].values():
-            data["sessions_per_s"] /= 2.0
-        assert bench.campaign_regression_failures(current, base) == []
+    def baseline(self):
+        return _campaign_report()
 
-    def test_routed_only_slowdown_fails(self):
-        base = _campaign_report()
-        current = copy.deepcopy(base)
-        current["workloads"]["store_routed_cold"]["sessions_per_s"] /= 2.0
-        failures = bench.campaign_regression_failures(current, base, threshold=0.30)
-        assert len(failures) == 1
-        assert failures[0].startswith("store_routed_cold:")
+    def gated_slowdown(self, base):
+        return _halved(base, "store_routed_cold")
+
+    test_routed_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_missing_reference_reports_cleanly = \
+        _GateBehaviours.missing_row_reports_cleanly
 
     def test_pipe_path_is_not_gated(self):
         # The legacy comparator may drift; only the tracked paths gate.
         base = _campaign_report()
         current = copy.deepcopy(base)
         current["workloads"]["pipe_cold"]["sessions_per_s"] /= 10.0
-        assert bench.campaign_regression_failures(current, base) == []
+        assert bench.regression_failures(current, base) == []
 
     def test_missing_gated_workload_fails(self):
         base = _campaign_report()
         current = copy.deepcopy(base)
         del current["workloads"]["store_routed_warm"]
-        failures = bench.campaign_regression_failures(current, base)
+        failures = bench.regression_failures(current, base)
         assert failures == ["store_routed_warm: missing from current report"]
 
     def test_routed_cold_below_pipe_floor_fails(self):
@@ -133,40 +207,40 @@ class TestCampaignRegressionGate:
         # intra-report routed-vs-pipe floor can fire.
         report = _campaign_report(routed_cold=70.0, pipe=90.0)
         report["quick"] = False
-        failures = bench.campaign_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert len(failures) == 1
         assert failures[0].startswith("routed_cold_vs_pipe_cold:")
 
     def test_routed_cold_within_noise_floor_passes(self):
         report = _campaign_report(routed_cold=85.0, pipe=90.0)  # 0.94x
         report["quick"] = False
-        assert bench.campaign_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
 
     def test_shm_below_parallel_efficiency_floor_fails(self):
         # Full-mode, multi-core: shm with 2 workers must reach 1.2x serial.
         report = _campaign_report(shm_cold=55.0)  # 1.10x vs jobs1_cold
         report["quick"] = False
-        failures = bench.campaign_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert len(failures) == 1
         assert failures[0].startswith("shm_cold_vs_jobs1_cold:")
 
     def test_shm_floor_relaxed_in_quick_mode(self):
         # Quick workloads are spawn-dominated; 1.10x clears the 0.85 floor.
         report = _campaign_report(shm_cold=55.0)
-        assert bench.campaign_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
 
     def test_shm_floor_relaxed_on_single_core(self):
         # Two workers timesharing one core cannot beat serial wall-clock;
         # the gate degrades to break-even there.
         report = _campaign_report(shm_cold=55.0, cpu_count=1)
         report["quick"] = False
-        assert bench.campaign_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
 
     def test_shm_losing_to_serial_fails_everywhere(self):
         # The pre-arena serialization tax (0.58x) must fail on any host.
         report = _campaign_report(shm_cold=29.0, cpu_count=1)
         report["quick"] = False
-        failures = bench.campaign_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("shm_cold_vs_jobs1_cold:") for f in failures)
 
     def test_shm_unavailable_platform_skips_gate(self):
@@ -175,21 +249,21 @@ class TestCampaignRegressionGate:
         del report["speedup"]["shm_cold_vs_jobs1_cold"]
         del report["speedup"]["shm_cold_vs_pipe_cold"]
         report["shm_unavailable"] = True
-        assert bench.campaign_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
 
     def test_missing_shm_workload_fails_when_available(self):
         report = _campaign_report()
         del report["speedup"]["shm_cold_vs_jobs1_cold"]
-        failures = bench.campaign_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any("shm workload did not run" in f for f in failures)
 
     def test_quick_reports_get_pipe_floor_slack(self):
         # Pool spawn dominates a quick run's sub-second wall, so the
         # same 0.78x ratio passes in quick mode but not full mode.
         report = _campaign_report(routed_cold=70.0, pipe=90.0)  # quick
-        assert bench.campaign_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
         worse = _campaign_report(routed_cold=60.0, pipe=90.0)  # 0.67x
-        failures = bench.campaign_regression_failures(worse, worse)
+        failures = bench.regression_failures(worse, worse)
         assert any(f.startswith("routed_cold_vs_pipe_cold:")
                    for f in failures)
 
@@ -204,29 +278,18 @@ class TestCampaignRegressionGate:
         current = _campaign_report(jobs1_cold=100.0, jobs1_warm=800.0,
                                    pipe=180.0, routed_cold=250.0,
                                    routed_warm=520.0, shm_cold=130.0)
-        assert bench.campaign_regression_failures(current, base) == []
+        assert bench.regression_failures(current, base) == []
 
     def test_routed_warm_below_intra_report_floor_fails(self):
         report = _campaign_report(routed_cold=150.0, routed_warm=200.0)
-        failures = bench.campaign_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any("memo replay is recomputing" in f for f in failures)
 
-    def test_missing_reference_reports_cleanly(self):
-        base = _campaign_report()
-        current = copy.deepcopy(base)
-        del current["workloads"]["jobs1_cold"]
-        failures = bench.campaign_regression_failures(current, base)
-        assert failures == ["jobs1_cold: reference workload missing from a report"]
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            bench.campaign_regression_failures(_campaign_report(),
-                                               _campaign_report(), threshold=0.0)
 
 
 class TestCampaignRender:
     def test_render_lists_workloads_speedup_and_pool(self):
-        text = bench.render_campaign(_campaign_report())
+        text = bench.render(_campaign_report())
         assert "store_routed_cold" in text and "pipe_cold" in text
         assert "4.67x" in text  # 420 / 90 warm-vs-pipe speedup
         assert "workers=2" in text and "routed=12" in text
@@ -279,29 +342,28 @@ def _reduce_report(exact=12.0, reduce_cold=12.5, store_cold=11.0,
     return report
 
 
-class TestReduceRegressionGate:
-    def test_identical_reports_pass(self):
-        report = _reduce_report(demo_peak=3.0)
-        assert bench.reduce_regression_failures(report, report) == []
+class TestReduceRegressionGate(_GateBehaviours):
+    workload, bad_threshold = "reduce", 2.0
+    missing_row = "exact_cold"
+    missing_failure = "exact_cold: reference workload missing from a report"
+    slowdown_failures = ["reduce_cold"]
 
-    def test_uniform_slowdown_is_hardware_normalized_away(self):
-        base = _reduce_report()
-        current = copy.deepcopy(base)
-        for data in current["workloads"].values():
-            data["sessions_per_s"] /= 2.0
-        assert bench.reduce_regression_failures(current, base) == []
+    def baseline(self):
+        return _reduce_report()
 
-    def test_reduce_only_slowdown_fails(self):
-        base = _reduce_report()
-        current = copy.deepcopy(base)
-        current["workloads"]["reduce_cold"]["sessions_per_s"] /= 2.0
-        failures = bench.reduce_regression_failures(current, base, threshold=0.30)
-        assert len(failures) == 1
-        assert failures[0].startswith("reduce_cold:")
+    def identical(self):
+        return _reduce_report(demo_peak=3.0)
+
+    def gated_slowdown(self, base):
+        return _halved(base, "reduce_cold")
+
+    test_reduce_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_missing_reference_reports_cleanly = \
+        _GateBehaviours.missing_row_reports_cleanly
 
     def test_failed_kpi_oracle_fails(self):
         report = _reduce_report(kpi_ok=False)
-        failures = bench.reduce_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("kpi_check:") for f in failures)
 
     def test_memo_warm_is_not_normalized_across_modes(self):
@@ -311,39 +373,28 @@ class TestReduceRegressionGate:
         base = _reduce_report(store_warm=1200.0)
         current = _reduce_report(exact=20.0, reduce_cold=21.0,
                                  store_warm=500.0)
-        assert bench.reduce_regression_failures(current, base) == []
+        assert bench.regression_failures(current, base) == []
 
     def test_memo_warm_below_intra_report_floor_fails(self):
         report = _reduce_report(store_cold=100.0, store_warm=300.0)  # 3x
-        failures = bench.reduce_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("memo_warm_vs_cold:") for f in failures)
 
     def test_unbounded_reduce_peak_fails(self):
         report = _reduce_report(reduce_peak=8.0, exact_peak=10.0)
-        failures = bench.reduce_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("reduce_cold peak") for f in failures)
 
     def test_demo_peak_must_track_chunk_size(self):
         report = _reduce_report(demo_peak=50.0)
-        failures = bench.reduce_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("demo peak") for f in failures)
 
-    def test_missing_reference_reports_cleanly(self):
-        base = _reduce_report()
-        current = copy.deepcopy(base)
-        del current["workloads"]["exact_cold"]
-        failures = bench.reduce_regression_failures(current, base)
-        assert failures == ["exact_cold: reference workload missing from a report"]
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            bench.reduce_regression_failures(_reduce_report(), _reduce_report(),
-                                             threshold=2.0)
 
 
 class TestReduceRender:
     def test_render_lists_workloads_oracle_and_demo(self):
-        text = bench.render_reduce(_reduce_report(demo_peak=3.0))
+        text = bench.render(_reduce_report(demo_peak=3.0))
         assert "reduce_store_warm" in text and "exact_cold" in text
         assert "PASS" in text and "10000 sessions" in text
         assert "0.27x exact peak" in text
@@ -393,72 +444,55 @@ def _tensor_report(session_cold=150.0, session_warm=155.0,
     }
 
 
-class TestTensorRegressionGate:
-    def test_identical_reports_pass(self):
-        report = _tensor_report()
-        assert bench.tensor_regression_failures(report, report) == []
+class TestTensorRegressionGate(_GateBehaviours):
+    workload, bad_threshold = "tensor", 1.0
+    missing_row = "session_cold"
+    missing_failure = "session_cold: reference workload missing from a report"
+    # Fails both the normalized gate and the intra-report floor.
+    slowdown_failures = ["tensor_cold", "tensor_cold_vs_session_cold"]
 
-    def test_uniform_slowdown_is_hardware_normalized_away(self):
-        base = _tensor_report()
-        current = copy.deepcopy(base)
-        for data in current["workloads"].values():
-            data["sessions_per_s"] /= 2.0
-        assert bench.tensor_regression_failures(current, base) == []
+    def baseline(self):
+        return _tensor_report()
 
-    def test_tensor_only_slowdown_fails(self):
-        base = _tensor_report()
-        current = _tensor_report(tensor_cold=525.0 / 2.5, tensor_warm=220.0)
-        failures = bench.tensor_regression_failures(current, base,
-                                                    threshold=0.30)
-        # Fails both the normalized gate and the intra-report floor.
-        assert any(f.startswith("tensor_cold:") for f in failures)
-        assert any(f.startswith("tensor_cold_vs_session_cold:")
-                   for f in failures)
+    def gated_slowdown(self, base):
+        return _tensor_report(tensor_cold=525.0 / 2.5, tensor_warm=220.0)
+
+    test_tensor_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_missing_reference_reports_cleanly = \
+        _GateBehaviours.missing_row_reports_cleanly
 
     def test_speedup_below_floor_fails_intra_report(self):
         # 2.2x < the full-mode 2.5x floor even with itself as baseline.
         report = _tensor_report(tensor_cold=330.0, quick=False)
-        failures = bench.tensor_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         assert any(f.startswith("tensor_cold_vs_session_cold:")
                    for f in failures)
 
     def test_quick_reports_get_floor_slack(self):
         # The same 2.2x passes in quick mode (floor 2.0x).
         report = _tensor_report(tensor_cold=330.0, quick=True)
-        assert bench.tensor_regression_failures(report, report) == []
+        assert bench.regression_failures(report, report) == []
 
     def test_no_cohorts_run_fails(self):
         # A policy regression degrading every cohort to the per-session
         # engine gates red even at a 1.0x-ish honest ratio, and a host
         # without the retx kernel names the reason.
         report = _tensor_report(cohorts=0)
-        failures = bench.tensor_regression_failures(report, report)
+        failures = bench.regression_failures(report, report)
         cohort = [f for f in failures if f.startswith("cohort:")]
         assert len(cohort) == 1 and "no C compiler on PATH" in cohort[0]
 
-    def test_missing_reference_reports_cleanly(self):
-        base = _tensor_report()
-        current = copy.deepcopy(base)
-        del current["workloads"]["session_cold"]
-        failures = bench.tensor_regression_failures(current, base)
-        assert failures == [
-            "session_cold: reference workload missing from a report"]
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            bench.tensor_regression_failures(_tensor_report(),
-                                             _tensor_report(), threshold=1.0)
 
 
 class TestTensorRender:
     def test_render_lists_workloads_speedup_and_counters(self):
-        text = bench.render_tensor(_tensor_report())
+        text = bench.render(_tensor_report())
         assert "tensor_cold" in text and "session_cold" in text
         assert "3.50x" in text  # 525 / 150 cold speedup
         assert "cohorts=8 columns=256 dirty_periods=28000" in text
 
     def test_render_shows_dirty_split_and_phases(self):
-        text = bench.render_tensor(_tensor_report())
+        text = bench.render(_tensor_report())
         assert "dirty=54.7% of 51200 cells" in text
         assert "residual" not in text
         assert "phases:" in text and "batched_retx=0.04s" in text
@@ -521,8 +555,6 @@ class TestRender:
         report["quick"] = False
         report["config"] = {"profile": "V_Sp", "duration_s": 5.0,
                             "repetitions": 11, "seed": 2024}
-        report["speedup_vs_pre_pr"] = {"single_ue": 3.45, "multi_ue": 5.79}
         text = bench.render(report)
         assert "single_ue" in text and "multi_ue" in text
         assert "vectorized" in text and "reference" in text
-        assert "3.45x" in text

@@ -31,15 +31,33 @@ def _tensor_report():
     }
 
 
+def _slot_report():
+    def cell(warm):
+        return {"cold_slots_per_s": warm / 2, "warm_slots_per_s": warm}
+
+    return {
+        "bench": "slot_engine", "schema": 1, "quick": False,
+        "workloads": {
+            "single_ue": {"vectorized": cell(800_000.0),
+                          "reference": cell(600_000.0), "n_slots": 10000},
+        },
+    }
+
+
 class TestHistoryReport:
     def test_folds_all_reports(self, tmp_path):
         _write(tmp_path / "BENCH_campaign.json", _campaign_report())
         _write(tmp_path / "BENCH_tensor.json", _tensor_report())
+        _write(tmp_path / "BENCH_slot_engine.json", _slot_report())
         report = bench.history_report(tmp_path)
         assert report["bench"] == "history"
         kinds = {e["kind"]: e for e in report["reports"]}
-        assert set(kinds) == {"campaign", "tensor"}
+        assert set(kinds) == {"campaign", "tensor", "slot_engine"}
         assert kinds["campaign"]["throughput"]["shm_cold"] == 50.0
+        # Slot rows are nested per engine; each engine's warm rate folds.
+        assert kinds["slot_engine"]["throughput"] == {
+            "single_ue/vectorized": 800_000.0,
+            "single_ue/reference": 600_000.0}
         assert kinds["campaign"]["speedup"]["shm_cold_vs_jobs1_cold"] == 1.25
         assert kinds["tensor"]["flush_share"] == 0.15
         assert report["skipped"] == []

@@ -144,6 +144,34 @@ class TestBenchWorkloadFlag:
                      "--baseline", str(baseline)]) == 2
         assert "slot_engine" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_measure(self, monkeypatch):
+        from repro.core import bench
+
+        def refuse(**kwargs):
+            raise AssertionError("bench measured despite bad input")
+
+        monkeypatch.setattr(bench, "measure", refuse)
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[]"],
+                             ids=["missing", "not-json", "not-object"])
+    def test_bad_baseline_exits_2_before_measuring(self, tmp_path, capsys,
+                                                   no_measure, content):
+        baseline = tmp_path / "BENCH_slot_engine.json"
+        if content is not None:
+            baseline.write_text(content)
+        assert main(["bench", "--quick", "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err
+        assert str(baseline) in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "x"])
+    def test_threshold_out_of_range_exits_2_before_measuring(
+            self, capsys, no_measure, threshold):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick", "--threshold", threshold])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+
     def test_unknown_workload_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--workload", "sessions"])
