@@ -158,8 +158,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.xcal.dataset import CampaignSpec, generate_campaign
 
-    spec = CampaignSpec(minutes_per_operator=args.minutes, session_s=args.session,
-                        ul_fraction=args.ul_fraction, seed=args.seed)
+    try:
+        spec = CampaignSpec(minutes_per_operator=args.minutes, session_s=args.session,
+                            ul_fraction=args.ul_fraction, seed=args.seed)
+    except ValueError as exc:  # e.g. --minutes 0, --session inf
+        print(f"invalid campaign: {exc}", file=sys.stderr)
+        return 2
     if args.reduce and args.out is not None:
         print("--reduce keeps no per-slot traces, so --out has nothing to "
               "export; drop one of the two", file=sys.stderr)

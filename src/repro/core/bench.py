@@ -751,9 +751,9 @@ def _vectorized_floor(name: str) -> Floor:
                  "engine warm")
 
 
-def _warm_floor(warm: str, cold: str) -> Floor:
+def _warm_floor(warm: str, cold: str, quick: float | None = None) -> Floor:
     # A warm (fully memoized) campaign must beat its own cold run by at
-    # least this factor within the same report (observed 3-9x); below
+    # least 2x within the same report (``quick`` in quick mode); below
     # it the memo path is recomputing sessions.  The warm workloads are
     # not normalized against the baseline: their per-session cost is
     # dominated by fixed store-read and pool-dispatch overhead, so their
@@ -761,7 +761,7 @@ def _warm_floor(warm: str, cold: str) -> Floor:
     # across quick/full modes.
     return Floor(warm, ("workloads", warm, "sessions_per_s"), 2.0,
                  f"memo replay is recomputing: must beat its own cold run {cold}",
-                 per=("workloads", cold, "sessions_per_s"),
+                 per=("workloads", cold, "sessions_per_s"), quick=quick,
                  missing="missing from current report")
 
 
@@ -826,7 +826,14 @@ WORKLOADS: dict[str, Workload] = {
                   quick=0.85, single_core=1.0,
                   missing="missing from current report (shm workload did not run)",
                   unless="shm_unavailable"),
-            _warm_floor("jobs1_warm", "jobs1_cold"),
+            # Measured warm/cold on an idle 2-CPU host: jobs1 5.5-8.1x
+            # quick (21 runs) and 4.4-7.0x full (10 runs); store_routed
+            # 4.0-6.4x quick and 2.8-4.7x full.  A quick cold run spreads
+            # its fixed per-run cost over 12 three-second sessions, not
+            # 24 five-second ones, so the serial ratio is higher there
+            # and the CI quick leg holds it to 5x; a full-mode 5x would
+            # fail 3 runs in 10.
+            _warm_floor("jobs1_warm", "jobs1_cold", quick=5.0),
             _warm_floor("store_routed_warm", "store_routed_cold"),
         ),
         sections=(

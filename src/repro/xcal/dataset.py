@@ -21,6 +21,7 @@ results are bit-identical for any ``jobs`` worker count.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,10 +84,12 @@ class CampaignSpec:
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        if self.minutes_per_operator <= 0 or self.session_s <= 0:
-            raise ValueError("durations must be positive")
+        for name in ("minutes_per_operator", "session_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 <= self.ul_fraction <= 1.0:
-            raise ValueError("ul_fraction must lie in [0, 1]")
+            raise ValueError(f"ul_fraction must lie in [0, 1], got {self.ul_fraction!r}")
 
 
 @dataclass
@@ -136,7 +139,8 @@ class MeasurementCampaign:
         ``format`` is one of :data:`EXPORT_FORMATS` (``csv``, ``jsonl``,
         ``npz``).  Each trace lands as ``<operator>_<kind>_<i>`` directly
         under ``directory``, with the operator key sanitized for
-        filenames.
+        filenames.  Two keys that sanitize to the same name raise
+        ``ValueError`` before anything is written.
         """
         try:
             writer, suffix = EXPORT_FORMATS[format]
@@ -144,6 +148,13 @@ class MeasurementCampaign:
             raise ValueError(
                 f"unknown export format {format!r}; known: {sorted(EXPORT_FORMATS)}"
             ) from None
+        owners: dict[str, str] = {}
+        for key in {**self.dl_traces, **self.ul_traces}:
+            safe = _filename_key(key)
+            owner = owners.setdefault(safe, key)
+            if owner != key:
+                raise ValueError(f"operator keys {owner!r} and {key!r} both "
+                                 f"export as {safe!r}")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         paths: list[Path] = []

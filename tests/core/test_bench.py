@@ -280,6 +280,23 @@ class TestCampaignRegressionGate(_GateBehaviours):
                                    routed_warm=520.0, shm_cold=130.0)
         assert bench.regression_failures(current, base) == []
 
+    def test_serial_warm_below_5x_fails_in_quick_mode(self):
+        # 240 / 50 = 4.8x: quick serial memo replay that slow is
+        # recomputing; full mode keeps the 2x floor.
+        report = _campaign_report(jobs1_warm=240.0)
+        failures = bench.regression_failures(report, report)
+        assert len(failures) == 1
+        assert failures[0].startswith("jobs1_warm:")
+        ok = _campaign_report(jobs1_warm=250.0)
+        assert bench.regression_failures(ok, ok) == []
+        report["quick"] = False
+        assert bench.regression_failures(report, report) == []
+        slow = _campaign_report(jobs1_warm=95.0)  # 1.9x
+        slow["quick"] = False
+        failures = bench.regression_failures(slow, slow)
+        assert len(failures) == 1
+        assert failures[0].startswith("jobs1_warm:")
+
     def test_routed_warm_below_intra_report_floor_fails(self):
         report = _campaign_report(routed_cold=150.0, routed_warm=200.0)
         failures = bench.regression_failures(report, report)

@@ -36,6 +36,18 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "minutes" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--minutes", "0", "minutes_per_operator must be positive and finite, got 0.0"),
+        ("--minutes", "nan", "minutes_per_operator must be positive and finite, got nan"),
+        ("--session", "inf", "session_s must be positive and finite, got inf"),
+        ("--ul-fraction", "2", "ul_fraction must lie in [0, 1], got 2.0"),
+    ])
+    def test_invalid_spec_rejected(self, capsys, flag, value, message):
+        assert main(["campaign", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid campaign: {message}\n"
+        assert captured.out == ""
+
     def test_export(self, tmp_path, capsys):
         assert main(["campaign", "--minutes", "0.05", "--session", "3",
                      "--out", str(tmp_path)]) == 0

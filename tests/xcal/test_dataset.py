@@ -28,6 +28,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             CampaignSpec(ul_fraction=-0.1)
 
+    @pytest.mark.parametrize("field", ["minutes_per_operator", "session_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_durations_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            CampaignSpec(**{field: value})
+
     def test_ul_only_campaign_expressible(self):
         # ul_fraction=1.0 is valid: every session measures the uplink.
         spec = CampaignSpec(minutes_per_operator=0.1, session_s=3.0,
@@ -113,6 +119,15 @@ class TestExportFormats:
         for path in paths:
             assert path.parent == out
             assert "/" not in path.name and ".." not in path.name
+
+    def test_colliding_operator_keys_rejected_before_writing(self, tmp_path):
+        profiles = {"a/b": EU_PROFILES["V_Sp"], "a_b": EU_PROFILES["O_Sp_100"]}
+        spec = CampaignSpec(minutes_per_operator=0.1, session_s=3.0, seed=5)
+        campaign = generate_campaign(profiles, spec)
+        out = tmp_path / "exports"
+        with pytest.raises(ValueError, match="'a/b' and 'a_b' both export as 'a_b'"):
+            campaign.export(out)
+        assert not out.exists()
 
 
 class TestStoreIntegration:
