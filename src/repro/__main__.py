@@ -41,6 +41,11 @@ worker pool (a :class:`repro.core.runner.CampaignExecutor`) across all
 sessions: results come back through shared memory, and when a store is
 configured the workers write results to it directly.
 
+``REPRO_ENGINE`` (``vectorized`` or ``reference``) pins sessions to one
+per-session slot engine; the bytes are the same either way.  ``run``,
+``campaign`` and ``bench`` exit 2 on any other value before anything
+runs.
+
 ``--reduce`` (on ``run`` for fig01/fig12/table1, and on ``campaign``)
 streams sessions through mergeable KPI sketches instead of
 materializing per-slot traces, bounding peak memory by worker count
@@ -384,6 +389,14 @@ def main(argv: list[str] | None = None) -> int:
     cache_parser.set_defaults(func=_cmd_cache)
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "campaign", "bench"):
+        from repro.ran.config import resolve_engine
+
+        try:
+            resolve_engine()  # reads and validates $REPRO_ENGINE
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     return args.func(args)
 
 

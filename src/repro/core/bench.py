@@ -4,11 +4,12 @@ Four tracked workloads, selected with ``--workload``; each is one
 :data:`WORKLOADS` entry, which :func:`measure`,
 :func:`regression_failures` and :func:`render` look up:
 
-- ``slot`` (default) — the slot engines, the hot path under every
-  figure, table and campaign: slots/sec on the Fig. 1 single-carrier
-  workload (the V_Sp n78 90 MHz deployment) for both the vectorized
-  and the reference engine, single- and multi-UE, cold and warm.
-  Report: ``BENCH_slot_engine.json``.
+- ``slot`` (default) — the per-session slot engines, the hot path
+  under every figure and table: slots/sec of the vectorized and the
+  reference engine, cold and warm, on two sessions — the Fig. 1
+  single-carrier workload (the V_Sp n78 90 MHz deployment) and a
+  Fig. 19-shaped, retransmission-heavy mmWave session (four FR2
+  carriers at driving speed).  Report: ``BENCH_slot_engine.json``.
 - ``campaign`` — the execution layer end to end: sessions/sec of a
   four-operator campaign through :func:`repro.core.runner.run_tasks`
   (serial jobs=1 cold and warm, the legacy pipe transport at
@@ -24,8 +25,11 @@ Four tracked workloads, selected with ``--workload``; each is one
 - ``tensor`` — the cross-session cohort engine: sessions/sec of
   maximal same-shape DL cohorts through the ``(sessions, slots)``
   tensor pass against the identical manifest pinned to the per-session
-  vectorized engine (``REPRO_ENGINE``), serial jobs=1, cold and warm.
+  vectorized engine, serial jobs=1, cold and warm.
   Report: ``BENCH_tensor.json``.
+
+The slot and tensor workloads choose engines only through the one
+engine switch, ``$REPRO_ENGINE`` (see :func:`_pinned_engine`).
 
 Three measurement conventions keep the numbers honest:
 
@@ -58,10 +62,11 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -72,7 +77,7 @@ __all__ = [
     "history_report",
     "load_report",
     "measure",
-    "multi_ue_traces",
+    "mmwave_session",
     "reduce_demo_tasks",
     "regression_failures",
     "render",
@@ -86,8 +91,9 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 1
 
 _BENCH_PROFILE = "V_Sp"
-_MULTI_UES = 4
-_MULTI_SINR_STEP_DB = -3.0
+
+#: Fig. 19's set (b) scenario the mmWave slot row runs.
+_MMWAVE_SCENARIO = "driving"
 
 #: Operators of the campaign and reduce workloads: two Spanish and two
 #: German deployments spanning 40–90 MHz carriers (a representative
@@ -205,38 +211,42 @@ def _rows(report: dict[str, Any]) -> dict[Row, dict[str, Any]]:
 # Workload manifests and measure bodies
 # --------------------------------------------------------------------- #
 
-def single_ue_trace(engine: str = "vectorized", duration_s: float = 5.0,
-                    seed: int = 2024):
+@contextmanager
+def _pinned_engine(engine: str | None) -> Iterator[None]:
+    """``$REPRO_ENGINE`` set to ``engine`` for the block (unset for
+    ``None``: the engine policy), restored afterwards."""
+    from repro.ran.config import ENGINE_ENV
+
+    saved = os.environ.pop(ENGINE_ENV, None)
+    if engine is not None:
+        os.environ[ENGINE_ENV] = engine
+    try:
+        yield
+    finally:
+        os.environ.pop(ENGINE_ENV, None)
+        if saved is not None:
+            os.environ[ENGINE_ENV] = saved
+
+
+def single_ue_trace(duration_s: float = 5.0, seed: int = 2024):
     """One full-buffer DL trace of the Fig. 1 V_Sp carrier."""
     from repro.operators.profiles import get_profile
+    from repro.ran.simulator import simulate_downlink
 
     profile = get_profile(_BENCH_PROFILE)
     cell = profile.primary_cell
     rng = np.random.default_rng(seed)
     channel = profile.dl_channel().realize(duration_s, mu=cell.mu, rng=rng)
-    from repro.ran.simulator import simulate_downlink
-
-    return simulate_downlink(cell, channel, rng=rng,
-                             params=profile.sim_params(engine=engine))
+    return simulate_downlink(cell, channel, rng=rng, params=profile.sim_params())
 
 
-def multi_ue_traces(engine: str = "vectorized", duration_s: float = 5.0,
-                    n_ues: int = _MULTI_UES, seed: int = 2024):
-    """One PF-scheduled multi-UE DL run of the Fig. 1 V_Sp carrier."""
-    from repro.operators.profiles import get_profile
-    from repro.ran.scheduler import ProportionalFairScheduler
-    from repro.ran.simulator import simulate_downlink_multi
+def mmwave_session(duration_s: float = 5.0, seed: int = 2024):
+    """One full-buffer DL session of the four-carrier mmWave profile at
+    driving speed, built exactly as Fig. 18/19 build it (an
+    :class:`~repro.ran.ca.AggregatedResult`)."""
+    from repro.experiments.fig18_mmwave_variability import SCENARIOS, _mmwave_run
 
-    profile = get_profile(_BENCH_PROFILE)
-    cell = profile.primary_cell
-    rng = np.random.default_rng(seed)
-    channels = [
-        profile.dl_channel(sinr_offset_db=_MULTI_SINR_STEP_DB * k)
-        .realize(duration_s, mu=cell.mu, rng=np.random.default_rng(seed + 100 + k))
-        for k in range(n_ues)
-    ]
-    return simulate_downlink_multi(cell, channels, ProportionalFairScheduler(),
-                                   rng=rng, params=profile.sim_params(engine=engine))
+    return _mmwave_run(duration_s, SCENARIOS[_MMWAVE_SCENARIO], seed)
 
 
 def _warm_process(seed: int) -> None:
@@ -250,37 +260,38 @@ def _warm_process(seed: int) -> None:
     each timed cold run, so "cold" still means what it says.
     """
     for engine in ("vectorized", "reference"):
-        single_ue_trace(engine, 0.2, seed)
-        multi_ue_traces(engine, 0.2, seed=seed)
+        with _pinned_engine(engine):
+            single_ue_trace(0.2, seed)
+            mmwave_session(0.2, seed)
 
 
 def _measure_slot(quick: bool, seed: int, jobs: int | str) -> tuple[dict, dict, dict]:
-    """Both slot engines, single- and multi-UE, serially (``jobs`` is
-    unused): cold is one run after clearing the TBS cache, warm the best
-    of the remaining repetitions."""
+    """Both per-session slot engines on both sessions, serially (``jobs``
+    is unused): cold is one run after clearing the TBS cache, warm the
+    best of the remaining repetitions."""
     duration_s = 2.0 if quick else 5.0
     repetitions = 3 if quick else 11
     _warm_process(seed)
 
     sessions = {
-        "single_ue": (lambda engine: single_ue_trace(engine, duration_s, seed), len),
-        "multi_ue": (lambda engine: multi_ue_traces(engine, duration_s, seed=seed),
-                     lambda traces: len(traces[0])),
+        "single_ue": (partial(single_ue_trace, duration_s, seed), len),
+        "mmwave": (partial(mmwave_session, duration_s, seed),
+                   lambda result: sum(len(t) for t in result.per_carrier)),
     }
     workloads: dict[str, Any] = {}
     for name, (session, n_slots_of) in sessions.items():
-        data: dict[str, Any] = {"n_slots": n_slots_of(session("vectorized"))}
+        data: dict[str, Any] = {"n_slots": n_slots_of(session())}
         for engine in ("vectorized", "reference"):
-            runs = [partial(session, engine)] * repetitions
-            cold = _best_of(runs[:1], data["n_slots"], rate="slots_per_s")
-            warm = _best_of(runs[1:], data["n_slots"], cold=False,
-                            rate="slots_per_s")
+            runs = [session] * repetitions
+            with _pinned_engine(engine):
+                cold = _best_of(runs[:1], data["n_slots"], rate="slots_per_s")
+                warm = _best_of(runs[1:], data["n_slots"], cold=False,
+                                rate="slots_per_s")
             data[engine] = {"cold_slots_per_s": cold["slots_per_s"],
                             "warm_slots_per_s": warm["slots_per_s"]}
         workloads[name] = data
-    workloads["multi_ue"]["n_ues"] = _MULTI_UES
-    config = {"profile": _BENCH_PROFILE, "duration_s": duration_s,
-              "repetitions": repetitions, "seed": seed}
+    config = {"profile": _BENCH_PROFILE, "mmwave_scenario": _MMWAVE_SCENARIO,
+              "duration_s": duration_s, "repetitions": repetitions, "seed": seed}
     return config, workloads, {}
 
 
@@ -591,9 +602,9 @@ def _measure_tensor(quick: bool, seed: int,
       cohort grouping still happens; only the engine choice is
       overridden).  ``session_cold`` is the hardware-normalization
       reference.
-    - ``tensor_cold`` / ``tensor_warm`` — the default ``engine="auto"``
-      policy: each operator's cohort runs as one ``(sessions, slots)``
-      tensor pass.
+    - ``tensor_cold`` / ``tensor_warm`` — the engine policy with
+      ``REPRO_ENGINE`` unset: each operator's cohort runs as one
+      ``(sessions, slots)`` tensor pass.
 
     The report carries the cohort counters (cohorts run, dirty cells,
     tensor slots/s) and the per-phase wall decomposition from the timed
@@ -602,7 +613,6 @@ def _measure_tensor(quick: bool, seed: int,
     from repro.core.runner import run_tasks
     from repro.ran import tensor as tensor_mod
     from repro.ran._native import kernel_status
-    from repro.ran.config import ENGINE_ENV
 
     cold_reps = 2 if quick else 3
     manifest = tensor_tasks(quick, seed)
@@ -615,18 +625,11 @@ def _measure_tensor(quick: bool, seed: int,
                 _best_of([run] * 2, n, cold=False))
 
     workloads: dict[str, Any] = {}
-    saved = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = "vectorized"
-    try:
+    with _pinned_engine("vectorized"):
         workloads["session_cold"], workloads["session_warm"] = cold_and_warm()
-    finally:
-        if saved is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = saved
-
     tensor_mod.reset_cohort_stats()
-    workloads["tensor_cold"], workloads["tensor_warm"] = cold_and_warm()
+    with _pinned_engine(None):
+        workloads["tensor_cold"], workloads["tensor_warm"] = cold_and_warm()
     stats = tensor_mod.cohort_stats()
     kernel = kernel_status()
     cells = stats["cells"]
@@ -772,10 +775,10 @@ WORKLOADS: dict[str, Workload] = {
         run=_measure_slot,
         ratios=tuple((f"{name}_vectorized_vs_reference",
                       (name, "vectorized"), (name, "reference"))
-                     for name in ("single_ue", "multi_ue")),
+                     for name in ("single_ue", "mmwave")),
         normalized=tuple(((name, "vectorized"), (name, "reference"))
-                         for name in ("single_ue", "multi_ue")),
-        floors=(_vectorized_floor("single_ue"), _vectorized_floor("multi_ue")),
+                         for name in ("single_ue", "mmwave")),
+        floors=(_vectorized_floor("single_ue"), _vectorized_floor("mmwave")),
     ),
     "campaign": Workload(
         bench="campaign",

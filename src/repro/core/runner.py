@@ -405,15 +405,13 @@ def prewarm_worker_caches() -> None:
         pass
 
 
-def _pool_initializer(store_config: tuple[str, int | None] | None,
-                      prewarm: bool) -> None:
+def _pool_initializer(store_config: tuple[str, int | None] | None) -> None:
     global _WORKER_STORE
     if store_config is not None:
         from repro.store import TraceStore
 
         _WORKER_STORE = TraceStore(store_config[0], max_bytes=store_config[1])
-    if prewarm:
-        prewarm_worker_caches()
+    prewarm_worker_caches()
 
 
 def _writer_pool() -> ThreadPoolExecutor:
@@ -831,7 +829,7 @@ def _dispatch_shm(entries: list[tuple[int, SessionTask, str | None]],
 
     writes_store = any(key is not None for _, _, key in entries)
     _in_pool(_collect, executor, workers, len(entries),
-             (_store_config(store), True) if writes_store else None)
+             (_store_config(store),) if writes_store else None)
     return written
 
 
@@ -858,11 +856,9 @@ class CampaignExecutor:
     wrote into the store (``tasks_routed``).
     """
 
-    def __init__(self, jobs: int | str | None = "auto", store: Any = None,
-                 prewarm: bool = True) -> None:
+    def __init__(self, jobs: int | str | None = "auto", store: Any = None) -> None:
         self.workers = resolve_jobs(jobs)
         self.store = store
-        self.prewarm = prewarm
         self._pool: ProcessPoolExecutor | None = None
         self.pools_created = 0
         self.dispatches = 0
@@ -893,7 +889,7 @@ class CampaignExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_pool_initializer,
-                initargs=(self.store_config, self.prewarm),
+                initargs=(self.store_config,),
             )
             self.pools_created += 1
         return self._pool
@@ -1108,7 +1104,7 @@ def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
                 _absorb(sketch)
 
         _in_pool(_sweep, executor, workers, len(miss_indices),
-                 (_store_config(store) if writes else None, True))
+                 (_store_config(store) if writes else None,))
 
     if acc is None:
         acc = reduction.empty() if hasattr(reduction, "empty") else None

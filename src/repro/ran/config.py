@@ -4,6 +4,10 @@ A :class:`CellConfig` bundles everything Tables 2 and 3 of the paper
 report for a carrier — band, bandwidth, SCS, duplexing, TDD pattern,
 maximum modulation order — together with the derived 3GPP objects (N_RB,
 MCS/CQI tables, CQI→MCS mapper) the simulator needs.
+
+The module also holds the slot-engine policy: :func:`resolve_engine`
+picks the engine a run uses from its cohort size and the one engine
+switch, the ``REPRO_ENGINE`` environment variable (:data:`ENGINE_ENV`).
 """
 
 from __future__ import annotations
@@ -20,71 +24,64 @@ from repro.nr.numerology import Numerology, slot_duration_ms
 from repro.nr.tdd import TddPattern
 from repro.ran import _native
 
-#: Valid ``SimParams.engine`` values (also re-exported by
-#: :mod:`repro.ran.simulator`).  ``"auto"`` and ``"tensor"`` are *policy*
-#: values resolved by :func:`resolve_engine`; the physical slot engines
-#: are ``"vectorized"``, ``"tensor"`` and ``"reference"``.  Every engine
+#: Valid :data:`ENGINE_ENV` values: the two per-session slot engines.
+#: Unset, the engine policy of :func:`resolve_engine` applies (the
+#: vectorized engine per session, the cohort tensor pass of
+#: :mod:`repro.ran.tensor` for same-shape cohorts).  Every engine
 #: produces byte-identical traces, so the choice is purely performance.
-ENGINES = ("auto", "vectorized", "tensor", "reference")
+ENGINES = ("vectorized", "reference")
 
-#: Smallest cohort for which ``engine="auto"``/``"tensor"`` selects the
-#: cross-session tensor pass.  Below this the per-column bookkeeping of
-#: the tensor engine costs more than the batching saves and
-#: ``"vectorized"`` wins.
+#: Smallest cohort for which the engine policy selects the cross-session
+#: tensor pass.  Below this the per-column bookkeeping of the tensor
+#: engine costs more than the batching saves and ``"vectorized"`` wins.
 TENSOR_MIN_COHORT = 2
 
-#: Environment override for the engine policy.  When set (to any value
-#: in :data:`ENGINES`) it replaces the *requested* engine before
-#: resolution — inherited by worker processes, never part of a task's
-#: store fingerprint (every engine produces the same bytes).  Used by
-#: the tensor benchmark to pin its per-session baseline, and handy for
-#: A/B timing in the field.
+#: The one engine switch.  When set (to a value in :data:`ENGINES`) it
+#: pins every session, inside a cohort or not, to that per-session
+#: engine — inherited by worker processes, never part of a task's store
+#: fingerprint (every engine produces the same bytes).  Used by the
+#: benchmarks to pin their baselines, by the byte-identity checks to run
+#: the reference oracle, and handy for A/B timing in the field.
 ENGINE_ENV = "REPRO_ENGINE"
 
 
-def resolve_engine(engine: str, cohort_size: int = 1) -> str:
-    """Resolve a requested engine to the physical engine actually run.
+def resolve_engine(cohort_size: int = 1) -> str:
+    """The physical slot engine for a run of ``cohort_size`` sessions.
 
     Decision table (all cells byte-identical — this is a pure
     performance policy; see ``docs/architecture.md``):
 
-    ==============  ==================  ===============================
-    requested       cohort_size below   cohort_size >= TENSOR_MIN_COHORT
-                    TENSOR_MIN_COHORT
-    ==============  ==================  ===============================
-    ``auto``        ``vectorized``      ``tensor`` (``vectorized``
-                                        without the retx kernel)
-    ``tensor``      ``vectorized``      same as ``auto``
-    ``vectorized``  ``vectorized``      ``vectorized`` (per session)
-    ``reference``   ``reference``       ``reference`` (per session)
-    ==============  ==================  ===============================
+    =================  ==================  ===============================
+    ``REPRO_ENGINE``   cohort_size below   cohort_size >= TENSOR_MIN_COHORT
+                       TENSOR_MIN_COHORT
+    =================  ==================  ===============================
+    unset              ``vectorized``      ``tensor`` (``vectorized``
+                                           without the retx kernel)
+    ``vectorized``     ``vectorized``      ``vectorized`` (per session)
+    ``reference``      ``reference``       ``reference`` (per session)
+    =================  ==================  ===============================
 
-    ``tensor`` degrades to ``vectorized`` for a cohort of one because
-    the tensor pass *is* the segment-batched vectorized engine with a
-    sessions axis — a single column has nothing to batch across.  It
-    also degrades on hosts where the compiled retx kernel
+    The tensor pass is the segment-batched vectorized engine with a
+    sessions axis, so a cohort of one runs vectorized: a single column
+    has nothing to batch across.  Cohorts also run vectorized on hosts
+    where the compiled retx kernel
     (:func:`repro.ran._native.load_kernel`) is unavailable: the kernel
     is the tensor pass's only path for retransmission work.  The kernel
     is consulted only for cohorts, so a per-session run never triggers
     a compile.
 
-    The :data:`ENGINE_ENV` environment variable, when set, replaces
-    ``engine`` before the table applies (the degrade rules still hold,
-    so ``REPRO_ENGINE=tensor`` on a lone session still runs vectorized).
+    Raises :class:`ValueError` when :data:`ENGINE_ENV` holds a value
+    outside :data:`ENGINES`; the CLI calls this once up front to turn
+    that into a one-line error.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    override = os.environ.get(ENGINE_ENV)
-    if override:
-        if override not in ENGINES:
-            raise ValueError(
-                f"{ENGINE_ENV} must be one of {ENGINES}, got {override!r}")
-        engine = override
-    if engine in ("auto", "tensor"):
-        if cohort_size >= TENSOR_MIN_COHORT and _native.load_kernel() is not None:
-            return "tensor"
-        return "vectorized"
-    return engine
+    pinned = os.environ.get(ENGINE_ENV)
+    if pinned:
+        if pinned not in ENGINES:
+            raise ValueError(f"${ENGINE_ENV} must be one of {ENGINES}, got {pinned!r}")
+        return pinned
+    if cohort_size >= TENSOR_MIN_COHORT and _native.load_kernel() is not None:
+        return "tensor"
+    return "vectorized"
 
 
 @dataclass(frozen=True)

@@ -132,17 +132,3 @@ class ProportionalFairScheduler(Scheduler):
         """Fold one slot's service into the UE's EWMA throughput."""
         previous = self.averages.get(ue_id, max(served_bits, 1.0))
         self.averages[ue_id] = (1.0 - self.ewma_alpha) * previous + self.ewma_alpha * served_bits
-
-    def update_averages(self, served_bits: list[float]) -> None:
-        """Fold one slot's service for every UE at once.
-
-        Equivalent to calling :meth:`update_average` for ``ue_id`` 0..n-1
-        in order; one call per slot keeps the simulator's hot loop off
-        the per-UE method-dispatch overhead.
-        """
-        alpha = self.ewma_alpha
-        decay = 1.0 - alpha
-        averages = self.averages
-        for ue_id, served in enumerate(served_bits):
-            previous = averages.get(ue_id, max(served, 1.0))
-            averages[ue_id] = decay * previous + alpha * served

@@ -14,7 +14,7 @@ Entry points:
 All functions return :class:`~repro.xcal.records.SlotTrace` objects, the
 XCAL-equivalent artifact the analysis layer consumes.
 
-Three slot engines produce byte-identical traces (``SimParams.engine``):
+Three slot engines produce byte-identical traces:
 
 - ``"vectorized"`` — segment-batched numpy fast path: within each CQI
   period the slot range is split into maximal contiguous segments with
@@ -29,11 +29,14 @@ Three slot engines produce byte-identical traces (``SimParams.engine``):
 - ``"reference"`` — the original per-slot scalar loop, retained as the
   oracle for the equivalence test matrix.
 
-The default ``"auto"`` resolves per call site (vectorized for a lone
-session, tensor inside a cohort); see
+A lone session runs vectorized and a same-shape cohort runs on the
+tensor pass, unless the ``REPRO_ENGINE`` environment variable pins one
+of the two per-session engines; see
 :func:`repro.ran.config.resolve_engine`.  All slot-clock randomness is
 pre-drawn before the period loop, so every engine consumes the
-generator identically by construction.
+generator identically by construction.  The multi-UE loop of
+:func:`simulate_downlink_multi` has one engine, the per-slot scalar
+loop, whatever the switch says.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.nr.signal import sinr_to_cqi
 from repro.nr.tbs import cached_tbs_lookup_matrix, transport_block_size
 from repro.nr.tdd import SlotType
 from repro.ran.amc import BlerModel, Olla, RankAdapter
-from repro.ran.config import ENGINES, CellConfig, resolve_engine
+from repro.ran.config import CellConfig, resolve_engine
 from repro.ran.scheduler import Scheduler, SchedulingRequest
 from repro.xcal.records import SlotTrace, TraceMetadata
 
@@ -101,15 +104,6 @@ class SimParams:
         (other bearers, SIBs, occasional other users), redrawn each CQI
         period.  Keeps allocations "close to the maximum" (Fig. 4)
         while producing the RE-allocation spread of Fig. 3.
-    engine:
-        Slot-engine policy: ``"auto"`` (the default — the segment-batched
-        vectorized engine per session, upgraded to the cross-session
-        tensor pass when the session runs inside a same-shape cohort),
-        ``"vectorized"``, ``"tensor"`` (force the cohort tensor pass
-        where a cohort exists) or ``"reference"`` (per-slot scalar loop,
-        the equivalence oracle).  All engines produce byte-identical
-        traces; see :func:`repro.ran.config.resolve_engine` for the
-        decision table.
     """
 
     harq_rtt_slots: int = 8
@@ -125,7 +119,6 @@ class SimParams:
     dci_fallback_cqi: int = 4
     background_rb_mean: float = 0.025
     background_rb_sigma: float = 0.035
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.harq_rtt_slots < 1:
@@ -134,8 +127,6 @@ class SimParams:
             raise ValueError("max_attempts must be positive")
         if not 0.0 <= self.retx_error_scale <= 1.0:
             raise ValueError("retx_error_scale must lie in [0, 1]")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
 # ---------------------------------------------------------------------- #
@@ -420,34 +411,6 @@ class _ReferenceEngine:
         pass
 
 
-#: Recycled (decoded, txmask) scratch pairs for :class:`_VectorizedEngine`,
-#: keyed by trace length.  Campaigns simulate thousands of same-length
-#: sessions back to back in one process; reusing the two trace-length
-#: boolean arrays keeps the per-session allocation cost off the critical
-#: path (the first session still pays it once).  Not thread-safe — the
-#: engine runs sessions sequentially within a process, workers each hold
-#: their own module state.
-_ENGINE_BUFFERS: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-_ENGINE_BUFFERS_CAP = 8
-
-
-def _borrow_engine_buffers(n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    pool = _ENGINE_BUFFERS.get(n_slots)
-    if pool:
-        decoded, txmask = pool.pop()
-        # ``decoded`` is read only where ``txmask`` was set, and every
-        # such slot is written first — stale contents are unreachable.
-        txmask[:] = False
-        return decoded, txmask
-    return np.empty(n_slots, dtype=bool), np.zeros(n_slots, dtype=bool)
-
-
-def _release_engine_buffers(decoded: np.ndarray, txmask: np.ndarray) -> None:
-    pool = _ENGINE_BUFFERS.setdefault(decoded.size, [])
-    if len(pool) < _ENGINE_BUFFERS_CAP:
-        pool.append((decoded, txmask))
-
-
 class _VectorizedEngine:
     """Segment-batched fast path.
 
@@ -481,8 +444,10 @@ class _VectorizedEngine:
         self._cum_both = self._prefix_counts(self._tx_both)
         self._cum_full_only = self._prefix_counts(self._tx_full_only)
         self._cum_special_only = self._prefix_counts(self._tx_special_only)
-        self._decoded, self._txmask = _borrow_engine_buffers(n_slots)
-        self._released = False
+        # ``decoded`` is read only where ``txmask`` was set, and every
+        # such slot is written first.
+        self._decoded = np.empty(n_slots, dtype=bool)
+        self._txmask = np.zeros(n_slots, dtype=bool)
         self._scratch: np.ndarray | None = None
         # Per-chunk constants (one chunk per committed segment).
         self._counts: list[int] = []
@@ -670,9 +635,6 @@ class _VectorizedEngine:
             trace.tbs_bits[ridx] = rtbs
             trace.delivered_bits[ridx] = np.where(rok, rtbs, 0)
             trace.error[ridx] = ~rok
-        if not self._released:
-            self._released = True
-            _release_engine_buffers(self._decoded, self._txmask)
 
 
 _SLOT_ENGINES = {
@@ -728,9 +690,9 @@ def _simulate_direction(
     sinr = channel.sinr_db
     queue = _RetxQueue()
     special_mask = slot_types == SLOT_SPECIAL
-    # A lone session has no cohort: "auto"/"tensor" resolve to the
+    # A lone session has no cohort: the policy resolves to the
     # segment-batched vectorized engine (byte-identical by contract).
-    engine = _SLOT_ENGINES[resolve_engine(params.engine, 1)](n_slots, usable, special_mask)
+    engine = _SLOT_ENGINES[resolve_engine()](n_slots, usable, special_mask)
 
     pd = _Period()
     pd.params = params
@@ -939,11 +901,10 @@ def _multi_update_states(
 ) -> None:
     """Per-UE link-adaptation update at a CQI period boundary.
 
-    Shared by both multi-UE engines; it draws one ``standard_normal``
-    per UE in UE order, so generator consumption is identical across
-    engines by construction.  The SINR→CQI map runs once over all UEs,
-    and CQI→MCS lookups are memoized in the caller-held ``mcs_memo``
-    (the same handful of keys recurs every period).
+    Draws one ``standard_normal`` per UE in UE order.  The SINR→CQI map
+    runs once over all UEs, and CQI→MCS lookups are memoized in the
+    caller-held ``mcs_memo`` (the same handful of keys recurs every
+    period).
     """
     meas_idx = max(0, slot - params.cqi_delay_slots)
     noise_db = params.cqi_noise_db
@@ -978,45 +939,59 @@ def _multi_update_states(
         state["dci"] = 0 if (use_fb or not is_qam256) else 1
 
 
-def _multi_decode_matrix(
-    states: list[dict],
-    channels: list[ChannelRealization],
-    params: SimParams,
-    uniforms: np.ndarray,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Decode outcomes ``[ue, slot-start]`` for one CQI period.
-
-    One broadcast BLER evaluation replaces a scalar logistic call per
-    allocated UE per slot.  Both engines read this matrix, so their
-    decode outcomes are bit-identical whatever the platform's scalar
-    vs SIMD transcendental rounding does.
-    """
-    effs = np.array([state["table"][state["mcs"]].spectral_efficiency for state in states])
-    sinr = np.stack([ch.sinr_db[start:stop] for ch in channels])
-    p_err = params.bler.error_probability(effs[:, None], sinr)
-    return uniforms[:, start:stop] >= p_err
-
-
-def _multi_reference(
+def simulate_downlink_multi(
     cell: CellConfig,
     channels: list[ChannelRealization],
     scheduler: Scheduler,
-    params: SimParams,
-    rng: np.random.Generator,
-    traces: list[SlotTrace],
-    states: list[dict],
-    uniforms: np.ndarray,
-    slot_types: np.ndarray,
-    full_sym: int,
-    special_sym: int,
-    n_slots: int,
-    primary_mapper: CqiMcsMapper,
-    fallback_mapper: CqiMcsMapper,
-) -> None:
-    """Per-slot scalar multi-UE loop (the oracle)."""
-    n_ues = len(states)
+    rng: np.random.Generator | None = None,
+    params: SimParams | None = None,
+) -> list[SlotTrace]:
+    """Several backlogged UEs sharing the carrier through a scheduler.
+
+    Used for the §5.2 multi-user study (Fig. 14): per DL slot the
+    scheduler splits the grantable RBs among all UEs; each UE's MCS/rank
+    tracks its own CQI loop.  Per-UE HARQ is simplified to immediate
+    retransmission accounting (errors cost the slot's bits) — adequate
+    because Fig. 14 reports RB shares and mean throughput.
+
+    One per-slot scalar loop, whatever the engine switch says: the
+    scheduler's state feeds back through decode outcomes on the slot
+    clock, and a Fig. 14 run is a fraction of a second.  Decode outcomes
+    come from one broadcast BLER evaluation per CQI period rather than a
+    scalar logistic call per allocated UE per slot.
+    """
+    rng = rng or np.random.default_rng()
+    params = params or SimParams()
+    if not channels:
+        raise ValueError("need at least one UE channel")
+    n_slots = min(ch.n_slots for ch in channels)
+    n_ues = len(channels)
+
+    traces = [
+        SlotTrace.empty(n_slots, mu=channels[k].mu, metadata=TraceMetadata(
+            carrier_name=cell.name, direction="DL",
+            bandwidth_mhz=cell.bandwidth_mhz, scs_khz=cell.scs_khz,
+        ))
+        for k in range(n_ues)
+    ]
+    for k, trace in enumerate(traces):
+        trace.sinr_db[:] = channels[k].sinr_db[:n_slots]
+        trace.rsrp_dbm[:] = channels[k].rsrp_dbm[:n_slots]
+        trace.rsrq_db[:] = channels[k].rsrq_db[:n_slots]
+
+    slot_types = _slot_types(cell, n_slots, SlotType.DL)
+    for trace in traces:
+        trace.slot_type[:] = slot_types
+    full_sym, special_sym = _usable_symbols(cell, SlotType.DL)
+
+    primary_mapper, fallback_mapper = _mappers(cell)
+    # Per-UE adaptation state.
+    states = [
+        {"cqi": 7, "rank": 1, "mcs": 5, "table": cell.mcs_table, "olla": Olla(), "dci": 1}
+        for _ in range(n_ues)
+    ]
+    uniforms = rng.random((n_ues, n_slots))
+
     period = cell.cqi_period_slots
     ok_mat = None
     period_start = 0
@@ -1026,8 +1001,11 @@ def _multi_reference(
             _multi_update_states(states, i, channels, cell, params, rng,
                                  primary_mapper, fallback_mapper, mcs_memo)
             period_start = i
-            ok_mat = _multi_decode_matrix(states, channels, params, uniforms,
-                                          i, min(n_slots, i + period))
+            stop = min(n_slots, i + period)
+            effs = np.array([state["table"][state["mcs"]].spectral_efficiency
+                             for state in states])
+            sinr = np.stack([ch.sinr_db[i:stop] for ch in channels])
+            ok_mat = uniforms[:, i:stop] >= params.bler.error_probability(effs[:, None], sinr)
         kind = slot_types[i]
         if kind == SLOT_UL:
             continue
@@ -1072,204 +1050,6 @@ def _multi_reference(
             # average so their PF metric recovers instead of starving.
             for k in range(n_ues):
                 scheduler.update_average(k, served_bits[k])
-
-
-def _multi_vectorized(
-    cell: CellConfig,
-    channels: list[ChannelRealization],
-    scheduler: Scheduler,
-    params: SimParams,
-    rng: np.random.Generator,
-    traces: list[SlotTrace],
-    states: list[dict],
-    uniforms: np.ndarray,
-    slot_types: np.ndarray,
-    full_sym: int,
-    special_sym: int,
-    n_slots: int,
-    primary_mapper: CqiMcsMapper,
-    fallback_mapper: CqiMcsMapper,
-) -> None:
-    """Batched multi-UE loop.
-
-    The scheduler stays on the slot clock (its state feeds back through
-    decode outcomes), but everything around it is lifted out of the
-    per-slot path: decode outcomes come from the shared per-period
-    matrix, scheduling requests are built once per period per slot
-    flavour (full vs special) and reused, TBS values are memoized on
-    ``(table, mcs, layers, n_rb, symbols)``, and per-UE trace writes
-    accumulate in index buffers flushed with one bulk column write per
-    UE per period.
-    """
-    n_ues = len(states)
-    period = cell.cqi_period_slots
-    grantable = cell.grantable_rb
-    kinds = slot_types.tolist()
-    update_averages = getattr(scheduler, "update_averages", None)
-    update_average = getattr(scheduler, "update_average", None)
-    olla_enabled = params.olla_enabled
-    tbs_memo: dict[tuple, int] = {}
-    mcs_memo: dict[tuple[bool, int, int], int] = {}
-    backlog = 1 << 30
-
-    n_periods = -(-n_slots // period)
-    for p in range(n_periods):
-        start = p * period
-        stop = min(n_slots, start + period)
-        _multi_update_states(states, start, channels, cell, params, rng,
-                             primary_mapper, fallback_mapper, mcs_memo)
-        ok_mat = _multi_decode_matrix(states, channels, params, uniforms, start, stop)
-        ok_rows = [ok_mat[k] for k in range(n_ues)]
-
-        # Link-adaptation state is fixed for the period — resolve it once.
-        entries = [state["table"][state["mcs"]] for state in states]
-        layers = [min(state["rank"], cell.max_layers) for state in states]
-        # Olla.update inlined below: hoist the per-object constants so the
-        # per-allocation cost is one float add + min/max, no method call.
-        olla_rules = [
-            (o, o.step_up, o.step_down, o.min_offset, o.max_offset)
-            for o in (state["olla"] for state in states)
-        ]
-        table_ids = [id(state["table"]) for state in states]
-        mcss = [state["mcs"] for state in states]
-        req_full = [
-            SchedulingRequest(ue_id=k, backlog_bits=backlog,
-                              instantaneous_rate=entries[k].spectral_efficiency * states[k]["rank"] * 12 * full_sym)
-            for k in range(n_ues)
-        ]
-        req_special = [
-            SchedulingRequest(ue_id=k, backlog_bits=backlog,
-                              instantaneous_rate=entries[k].spectral_efficiency * states[k]["rank"] * 12 * special_sym)
-            for k in range(n_ues)
-        ] if special_sym > 0 else None
-
-        buf_idx: list[list[int]] = [[] for _ in range(n_ues)]
-        buf_rb: list[list[int]] = [[] for _ in range(n_ues)]
-        buf_tbs: list[list[int]] = [[] for _ in range(n_ues)]
-        buf_ok: list[list[bool]] = [[] for _ in range(n_ues)]
-
-        for i in range(start, stop):
-            kind = kinds[i]
-            if kind == SLOT_UL:
-                continue
-            if kind == SLOT_SPECIAL:
-                if special_sym == 0:
-                    continue
-                symbols = special_sym
-                requests = req_special
-            else:
-                symbols = full_sym
-                requests = req_full
-            allocation = scheduler.allocate(requests, grantable)
-            served_bits = [0.0] * n_ues
-            j = i - start
-            for k, n_rb in allocation.items():
-                key = (table_ids[k], mcss[k], layers[k], n_rb, symbols)
-                tbs = tbs_memo.get(key)
-                if tbs is None:
-                    tbs = transport_block_size(n_rb, entries[k], layers[k], symbols=symbols)
-                    tbs_memo[key] = tbs
-                if tbs <= 0:
-                    continue
-                ok = ok_rows[k][j]
-                buf_idx[k].append(i)
-                buf_rb[k].append(n_rb)
-                buf_tbs[k].append(tbs)
-                buf_ok[k].append(ok)
-                if ok:
-                    served_bits[k] = float(tbs)
-                if olla_enabled:
-                    olla, step_up, step_down, lo, hi = olla_rules[k]
-                    delta = olla.delta + (step_up if ok else -step_down)
-                    olla.delta = lo if delta < lo else hi if delta > hi else delta
-            # Every active UE folds this slot into its EWMA — including
-            # UEs the scheduler left out, whose 0 served bits decay the
-            # average so their PF metric recovers instead of starving.
-            if update_averages is not None:
-                update_averages(served_bits)
-            elif update_average is not None:
-                for k in range(n_ues):
-                    update_average(k, served_bits[k])
-
-        # Flush the period's accumulated grants with bulk column writes.
-        for k in range(n_ues):
-            if not buf_idx[k]:
-                continue
-            idx = np.asarray(buf_idx[k], dtype=np.intp)
-            rb = np.asarray(buf_rb[k], dtype=np.int64)
-            tbs = np.asarray(buf_tbs[k], dtype=np.int64)
-            ok = np.asarray(buf_ok[k], dtype=bool)
-            state = states[k]
-            trace = traces[k]
-            trace.fill(
-                idx, scheduled=True, mcs_index=mcss[k],
-                modulation_order=entries[k].modulation.bits_per_symbol,
-                layers=layers[k], cqi=state["cqi"], dci_format=state["dci"],
-            )
-            trace.n_prb[idx] = rb
-            trace.n_re[idx] = rb * 12
-            trace.tbs_bits[idx] = tbs
-            trace.delivered_bits[idx] = np.where(ok, tbs, 0)
-            trace.error[idx] = ~ok
-
-
-_MULTI_ENGINES = {
-    "reference": _multi_reference,
-    "vectorized": _multi_vectorized,
-}
-
-
-def simulate_downlink_multi(
-    cell: CellConfig,
-    channels: list[ChannelRealization],
-    scheduler: Scheduler,
-    rng: np.random.Generator | None = None,
-    params: SimParams | None = None,
-) -> list[SlotTrace]:
-    """Several backlogged UEs sharing the carrier through a scheduler.
-
-    Used for the §5.2 multi-user study (Fig. 14): per DL slot the
-    scheduler splits the grantable RBs among all UEs; each UE's MCS/rank
-    tracks its own CQI loop.  Per-UE HARQ is simplified to immediate
-    retransmission accounting (errors cost the slot's bits) — adequate
-    because Fig. 14 reports RB shares and mean throughput.
-    """
-    rng = rng or np.random.default_rng()
-    params = params or SimParams()
-    if not channels:
-        raise ValueError("need at least one UE channel")
-    n_slots = min(ch.n_slots for ch in channels)
-    n_ues = len(channels)
-
-    traces = [
-        SlotTrace.empty(n_slots, mu=channels[k].mu, metadata=TraceMetadata(
-            carrier_name=cell.name, direction="DL",
-            bandwidth_mhz=cell.bandwidth_mhz, scs_khz=cell.scs_khz,
-        ))
-        for k in range(n_ues)
-    ]
-    for k, trace in enumerate(traces):
-        trace.sinr_db[:] = channels[k].sinr_db[:n_slots]
-        trace.rsrp_dbm[:] = channels[k].rsrp_dbm[:n_slots]
-        trace.rsrq_db[:] = channels[k].rsrq_db[:n_slots]
-
-    slot_types = _slot_types(cell, n_slots, SlotType.DL)
-    for trace in traces:
-        trace.slot_type[:] = slot_types
-    full_sym, special_sym = _usable_symbols(cell, SlotType.DL)
-
-    primary_mapper, fallback_mapper = _mappers(cell)
-    # Per-UE adaptation state.
-    states = [
-        {"cqi": 7, "rank": 1, "mcs": 5, "table": cell.mcs_table, "olla": Olla(), "dci": 1}
-        for _ in range(n_ues)
-    ]
-    uniforms = rng.random((n_ues, n_slots))
-
-    run_multi = _MULTI_ENGINES[resolve_engine(params.engine, 1)]
-    run_multi(cell, channels, scheduler, params, rng, traces, states, uniforms,
-              slot_types, full_sym, special_sym, n_slots,
-              primary_mapper, fallback_mapper)
     for trace in traces:
         _forward_fill_cqi(trace)
     return traces

@@ -38,7 +38,7 @@ This module runs a whole *cohort* of same-shape sessions as one
   :func:`~repro.ran.simulator.retx_fits_slot` /
   :func:`~repro.ran.simulator.retx_error_probability`, and the
   equivalence-matrix tests pin it byte-for-byte to the
-  ``engine="reference"`` oracle.  Without a kernel the engine policy
+  reference-engine oracle.  Without a kernel the engine policy
   (:func:`~repro.ran.config.resolve_engine`) never selects this module.
 
 Traces are flushed one column at a time (``simulate_*_cohort`` return
@@ -197,7 +197,7 @@ def _require_kernel():
         reason = _native.kernel_status()["error"] or "not loaded"
         raise RuntimeError(
             f"the cohort tensor engine needs the compiled retx kernel "
-            f"({reason}); run these sessions with engine='vectorized'")
+            f"({reason}); run these sessions with REPRO_ENGINE=vectorized")
     return kernel
 
 

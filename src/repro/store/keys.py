@@ -21,10 +21,11 @@ The resulting JSON depends only on values, never on ``PYTHONHASHSEED``,
 insertion order, or which process computes it, so keys are stable
 across workers, reruns and machines.  Execution strategy is likewise
 invisible: a session computed inside a cohort tensor pass reuses its
-per-session fingerprint (all engines emit identical bytes, and the
-``REPRO_ENGINE`` override is an environment knob, not a task field),
-so cohort execution required no schema bump and shares store entries
-with per-session runs.
+per-session fingerprint, so cohort execution required no schema bump
+and shares store entries with per-session runs.  All engines emit
+identical bytes, and the one engine switch, ``REPRO_ENGINE``, is an
+environment variable: no task field (``SimParams`` included) names an
+engine, so no fingerprint can depend on one.
 """
 
 from __future__ import annotations

@@ -287,9 +287,9 @@ def run_session_cohort(profile, spec: CampaignSpec, direction: str,
     """Batched counterpart of :func:`run_session` for same-shape cohorts.
 
     Yields one trace per seed, in order, each byte-identical to
-    ``run_session(profile, spec, direction, seed)``.  When the
-    profile's engine policy selects the cross-session tensor pass
-    (``resolve_engine(engine, len(seeds)) == "tensor"``) the whole
+    ``run_session(profile, spec, direction, seed)``.  When the engine
+    policy selects the cross-session tensor pass
+    (``resolve_engine(len(seeds)) == "tensor"``) the whole
     cohort executes as one ``(sessions x slots)`` pass in
     :mod:`repro.ran.tensor`; otherwise sessions run one at a time
     through the per-session path.  Either way the result is a lazy
@@ -308,9 +308,9 @@ def run_session_cohort(profile, spec: CampaignSpec, direction: str,
     """
     if direction not in ("DL", "UL"):
         raise ValueError(f"direction must be 'DL' or 'UL', got {direction!r}")
-    params = profile.sim_params()
-    if resolve_engine(params.engine, len(seeds)) != "tensor":
+    if resolve_engine(len(seeds)) != "tensor":
         return (run_session(profile, spec, direction, seed) for seed in seeds)
+    params = profile.sim_params()
     cell = profile.primary_cell
     rngs, channels, metadatas = [], [], []
     for seed in seeds:

@@ -88,7 +88,7 @@ class _GateBehaviours:
 
 
 def _report(single_vec=800_000.0, single_ref=600_000.0,
-            multi_vec=60_000.0, multi_ref=35_000.0) -> dict:
+            mmwave_vec=700_000.0, mmwave_ref=400_000.0) -> dict:
     def cell(warm):
         return {"cold_slots_per_s": warm / 2, "warm_slots_per_s": warm}
 
@@ -99,21 +99,20 @@ def _report(single_vec=800_000.0, single_ref=600_000.0,
         "workloads": {
             "single_ue": {"vectorized": cell(single_vec),
                           "reference": cell(single_ref), "n_slots": 4000},
-            "multi_ue": {"vectorized": cell(multi_vec),
-                         "reference": cell(multi_ref), "n_slots": 4000,
-                         "n_ues": 4},
+            "mmwave": {"vectorized": cell(mmwave_vec),
+                       "reference": cell(mmwave_ref), "n_slots": 64000},
         },
         "speedup": {
             "single_ue_vectorized_vs_reference": round(single_vec / single_ref, 2),
-            "multi_ue_vectorized_vs_reference": round(multi_vec / multi_ref, 2),
+            "mmwave_vectorized_vs_reference": round(mmwave_vec / mmwave_ref, 2),
         },
     }
 
 
 class TestRegressionGate(_GateBehaviours):
     workload, bad_threshold = "slot", 1.5
-    missing_row = "multi_ue"
-    missing_failure = "multi_ue: missing from current report"
+    missing_row = "mmwave"
+    missing_failure = "mmwave: missing from current report"
     slowdown_failures = ["single_ue"]
 
     def baseline(self):
@@ -129,11 +128,11 @@ class TestRegressionGate(_GateBehaviours):
         # The vectorized engine's warm floor is the reference engine's
         # warm rate, in both modes.
         for quick in (True, False):
-            report = _report(multi_vec=30_000.0, multi_ref=35_000.0)
+            report = _report(mmwave_vec=350_000.0, mmwave_ref=400_000.0)
             report["quick"] = quick
             failures = bench.regression_failures(report, report)
             assert [f.split(":")[0] for f in failures] == [
-                "multi_ue_vectorized_vs_reference"]
+                "mmwave_vectorized_vs_reference"]
 
     def test_vectorized_matching_reference_passes(self):
         report = _report(single_vec=600_000.0, single_ref=600_000.0)
@@ -573,5 +572,5 @@ class TestRender:
         report["config"] = {"profile": "V_Sp", "duration_s": 5.0,
                             "repetitions": 11, "seed": 2024}
         text = bench.render(report)
-        assert "single_ue" in text and "multi_ue" in text
+        assert "single_ue" in text and "mmwave" in text
         assert "vectorized" in text and "reference" in text

@@ -1,14 +1,15 @@
 """Byte-identity of the vectorized slot engine against the scalar oracle.
 
 The vectorized engine is the default; the scalar reference engine
-(``SimParams(engine="reference")``) is kept as the correctness oracle.
+(``REPRO_ENGINE=reference``) is kept as the correctness oracle.
 The contract is not "statistically close" but *byte-identical npz
 traces*: both engines must consume the RNG in the same order and
 produce the same doubles, so every config knob that changes the slot
 loop's shape (modulation table, TDD vs FDD, OLLA on/off, SINR regime
-and hence retx density, DL vs UL, multi-UE scheduling) gets a
-parametrized equality case, plus a seeded randomized-config sweep as a
-tripwire for interactions the matrix misses.
+and hence retx density, DL vs UL) gets a parametrized equality case,
+plus a seeded randomized-config sweep as a tripwire for interactions
+the matrix misses.  The multi-UE loop has a single engine, so it has
+no pair to compare.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from repro.channel.model import SyntheticChannel
 from repro.nr.mcs import Modulation
 from repro.nr.tdd import TddPattern
 from repro.ran.config import CellConfig
-from repro.ran.scheduler import ProportionalFairScheduler, RoundRobinScheduler
-from repro.ran.simulator import (SimParams, simulate_downlink,
-                                 simulate_downlink_multi, simulate_uplink)
+from repro.ran.simulator import SimParams, simulate_downlink, simulate_uplink
 from repro.xcal.io import npz_bytes, trace_to_arrays
 
 DURATION_S = 2.0
@@ -46,12 +45,13 @@ def _fdd_cell() -> CellConfig:
                       n_rb_override=51)
 
 
-def _run_single(simulate, cell: CellConfig, mean_sinr_db: float, seed: int,
-                engine: str, **params) -> bytes:
+def _run_single(monkeypatch, simulate, cell: CellConfig, mean_sinr_db: float,
+                seed: int, engine: str, **params) -> bytes:
+    monkeypatch.setenv("REPRO_ENGINE", engine)
     channel = SyntheticChannel(mean_sinr_db=mean_sinr_db).realize(
         DURATION_S, rng=np.random.default_rng(seed))
     trace = simulate(cell, channel, rng=np.random.default_rng(seed),
-                     params=SimParams(engine=engine, **params))
+                     params=SimParams(**params))
     return _trace_bytes(trace)
 
 
@@ -71,47 +71,24 @@ SINGLE_UE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SINGLE_UE_CASES))
 @pytest.mark.parametrize("seed", [3, 1234])
-def test_single_ue_downlink_byte_identical(case: str, seed: int):
+def test_single_ue_downlink_byte_identical(monkeypatch, case: str, seed: int):
     cell, mean_sinr_db, params = SINGLE_UE_CASES[case]
-    vec = _run_single(simulate_downlink, cell, mean_sinr_db, seed,
+    vec = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, seed,
                       "vectorized", **params)
-    ref = _run_single(simulate_downlink, cell, mean_sinr_db, seed,
+    ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, seed,
                       "reference", **params)
     assert vec == ref
 
 
 @pytest.mark.parametrize("seed", [3, 1234])
-def test_uplink_byte_identical(seed: int):
+def test_uplink_byte_identical(monkeypatch, seed: int):
     cell = _tdd_cell(Modulation.QAM256)
-    vec = _run_single(simulate_uplink, cell, 16.0, seed, "vectorized")
-    ref = _run_single(simulate_uplink, cell, 16.0, seed, "reference")
+    vec = _run_single(monkeypatch, simulate_uplink, cell, 16.0, seed, "vectorized")
+    ref = _run_single(monkeypatch, simulate_uplink, cell, 16.0, seed, "reference")
     assert vec == ref
 
 
-def _run_multi(engine: str, scheduler_cls, seed: int, n_ues: int = 3) -> bytes:
-    cell = _tdd_cell(Modulation.QAM256)
-    channels = [
-        SyntheticChannel(mean_sinr_db=22.0 - 4.0 * k).realize(
-            DURATION_S, rng=np.random.default_rng(seed + 100 + k))
-        for k in range(n_ues)
-    ]
-    traces = simulate_downlink_multi(cell, channels, scheduler_cls(),
-                                     rng=np.random.default_rng(seed),
-                                     params=SimParams(engine=engine))
-    return b"".join(_trace_bytes(t) for t in traces)
-
-
-@pytest.mark.parametrize("scheduler_cls",
-                         [ProportionalFairScheduler, RoundRobinScheduler],
-                         ids=lambda cls: cls.__name__)
-@pytest.mark.parametrize("seed", [7, 991])
-def test_multi_ue_byte_identical(scheduler_cls, seed: int):
-    # A fresh scheduler per engine run: schedulers carry EWMA state.
-    assert _run_multi("vectorized", scheduler_cls, seed) == \
-        _run_multi("reference", scheduler_cls, seed)
-
-
-def test_randomized_configs_byte_identical():
+def test_randomized_configs_byte_identical(monkeypatch):
     """Seeded random sweep over the config space the matrix interpolates."""
     meta_rng = np.random.default_rng(20240805)
     for _ in range(6):
@@ -123,8 +100,8 @@ def test_randomized_configs_byte_identical():
         seed = int(meta_rng.integers(1, 2**31))
         params = {"olla_enabled": bool(meta_rng.integers(2)),
                   "cqi_noise_db": float(meta_rng.uniform(0.0, 1.5))}
-        vec = _run_single(simulate_downlink, cell, mean_sinr_db, seed,
-                          "vectorized", **params)
-        ref = _run_single(simulate_downlink, cell, mean_sinr_db, seed,
-                          "reference", **params)
+        vec = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                          seed, "vectorized", **params)
+        ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                          seed, "reference", **params)
         assert vec == ref, (tdd, mean_sinr_db, seed, params)

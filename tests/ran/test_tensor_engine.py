@@ -62,12 +62,13 @@ def _channel_and_rng(mean_sinr_db: float, seed: int, cell: CellConfig,
     return channel, rng
 
 
-def _single_bytes(simulate, cell: CellConfig, mean_sinr_db: float, seed: int,
-                  engine: str, duration_s: float = DURATION_S,
+def _single_bytes(monkeypatch, simulate, cell: CellConfig, mean_sinr_db: float,
+                  seed: int, engine: str, duration_s: float = DURATION_S,
                   **params) -> bytes:
     channel, rng = _channel_and_rng(mean_sinr_db, seed, cell, duration_s)
-    trace = simulate(cell, channel, rng=rng,
-                     params=SimParams(engine=engine, **params))
+    with monkeypatch.context() as env:
+        env.setenv("REPRO_ENGINE", engine)
+        trace = simulate(cell, channel, rng=rng, params=SimParams(**params))
     return _trace_bytes(trace)
 
 
@@ -104,11 +105,11 @@ CASES = {
 @requires_kernel
 @pytest.mark.parametrize("cohort_size", [3, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
+def test_downlink_cohort_byte_identical(monkeypatch, case: str, cohort_size: int):
     cell, sinr, params = CASES[case]
     seeds = list(range(40, 40 + cohort_size))
-    singles = [_single_bytes(simulate_downlink, cell, sinr, s, "reference",
-                             **params) for s in seeds]
+    singles = [_single_bytes(monkeypatch, simulate_downlink, cell, sinr, s,
+                             "reference", **params) for s in seeds]
     cohort = _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
                            **params)
     assert cohort == singles
@@ -116,28 +117,28 @@ def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
 
 @requires_kernel
 @pytest.mark.parametrize("seed0", [7, 70])
-def test_uplink_cohort_byte_identical(seed0: int):
+def test_uplink_cohort_byte_identical(monkeypatch, seed0: int):
     cell = _tdd_cell(Modulation.QAM256)
     seeds = list(range(seed0, seed0 + 5))
-    singles = [_single_bytes(simulate_uplink, cell, 6.0, s, "reference")
-               for s in seeds]
+    singles = [_single_bytes(monkeypatch, simulate_uplink, cell, 6.0, s,
+                             "reference") for s in seeds]
     cohort = _cohort_bytes(simulate_uplink_cohort, cell, 6.0, seeds)
     assert cohort == singles
 
 
 @requires_kernel
-def test_cohort_matches_vectorized_engine_too():
+def test_cohort_matches_vectorized_engine_too(monkeypatch):
     cell, sinr, params = CASES["tdd-256qam-mid"]
     seeds = [90, 91, 92]
-    vec = [_single_bytes(simulate_downlink, cell, sinr, s, "vectorized",
-                         **params) for s in seeds]
+    vec = [_single_bytes(monkeypatch, simulate_downlink, cell, sinr, s,
+                         "vectorized", **params) for s in seeds]
     cohort = _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
                            **params)
     assert cohort == vec
 
 
 @requires_kernel
-def test_divergent_retx_fallback_mixed_columns():
+def test_divergent_retx_fallback_mixed_columns(monkeypatch):
     """Adversarial cohort: some columns never fail, others retransmit.
 
     With OLLA off and a conservative CQI mapping at high (per-seed
@@ -156,9 +157,10 @@ def test_divergent_retx_fallback_mixed_columns():
     singles, channels, rngs = [], [], []
     for seed in seeds:
         channel, rng = _channel_and_rng(mean, seed, cell, duration, jitter)
-        singles.append(_trace_bytes(simulate_downlink(
-            cell, channel, rng=rng,
-            params=SimParams(engine="reference", **params))))
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_ENGINE", "reference")
+            singles.append(_trace_bytes(simulate_downlink(
+                cell, channel, rng=rng, params=SimParams(**params))))
         channel, rng = _channel_and_rng(mean, seed, cell, duration, jitter)
         channels.append(channel)
         rngs.append(rng)
@@ -191,7 +193,7 @@ HIGH_BLER_SINR = -2.0
 
 
 @requires_kernel
-def test_high_bler_cohort_byte_identical():
+def test_high_bler_cohort_byte_identical(monkeypatch):
     """Forced >=80% dirty cells: the retx kernel carries the cohort.
 
     At -2 dB with an aggressive CQI mapping nearly every (column, period)
@@ -203,8 +205,9 @@ def test_high_bler_cohort_byte_identical():
     """
     cell = _tdd_cell(Modulation.QAM256)
     seeds = list(range(5))
-    singles = [_single_bytes(simulate_downlink, cell, HIGH_BLER_SINR, s,
-                             "reference", **HIGH_BLER_PARAMS) for s in seeds]
+    singles = [_single_bytes(monkeypatch, simulate_downlink, cell,
+                             HIGH_BLER_SINR, s, "reference", **HIGH_BLER_PARAMS)
+               for s in seeds]
     tensor.reset_cohort_stats()
     cohort = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
                            seeds, **HIGH_BLER_PARAMS)
@@ -234,8 +237,7 @@ def test_no_kernel_falls_back_to_vectorized(monkeypatch):
         assert tensor.cohort_stats()["cohorts"] > 0
 
     monkeypatch.setattr(_native, "load_kernel", lambda: None)
-    assert resolve_engine("auto", 64) == "vectorized"
-    assert resolve_engine("tensor", 64) == "vectorized"
+    assert resolve_engine(64) == "vectorized"
     tensor.reset_cohort_stats()
     without = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
     assert without == with_kernel
@@ -281,26 +283,29 @@ class TestEnginePolicy:
         # column is test_no_kernel_falls_back_to_vectorized.
         monkeypatch.setattr(_native, "load_kernel", lambda: object())
 
-    def test_decision_table(self):
-        assert resolve_engine("auto", 1) == "vectorized"
-        assert resolve_engine("auto", 2) == "tensor"
-        assert resolve_engine("tensor", 1) == "vectorized"
-        assert resolve_engine("tensor", 32) == "tensor"
-        assert resolve_engine("vectorized", 32) == "vectorized"
-        assert resolve_engine("reference", 32) == "reference"
+    def test_decision_table(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine(1) == "vectorized"
+        assert resolve_engine(2) == "tensor"
+        assert resolve_engine(32) == "tensor"
+        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        assert resolve_engine(1) == "vectorized"
+        assert resolve_engine(32) == "vectorized"
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert resolve_engine(1) == "reference"
+        assert resolve_engine(32) == "reference"
 
-    def test_invalid_engine(self):
-        with pytest.raises(ValueError):
-            resolve_engine("warp", 2)
+    def test_invalid_engine(self, monkeypatch):
+        # "tensor" and "auto" name the policy, not an engine to pin.
+        for value in ("warp", "tensor", "auto"):
+            monkeypatch.setenv("REPRO_ENGINE", value)
+            with pytest.raises(ValueError, match="REPRO_ENGINE"):
+                resolve_engine(1)
 
     def test_env_override(self, monkeypatch):
+        # The switch pins cohorts to the per-session engine too.
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        assert resolve_engine("auto", 64) == "vectorized"
-        assert resolve_engine("tensor", 64) == "vectorized"
-        monkeypatch.setenv("REPRO_ENGINE", "tensor")
-        # The cohort-of-one degrade still applies to the override.
-        assert resolve_engine("vectorized", 1) == "vectorized"
-        assert resolve_engine("vectorized", 8) == "tensor"
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ValueError):
-            resolve_engine("auto", 2)
+        assert resolve_engine(64) == "vectorized"
+        # An empty value means unset: the policy applies.
+        monkeypatch.setenv("REPRO_ENGINE", "")
+        assert resolve_engine(64) == "tensor"

@@ -273,6 +273,29 @@ class TestCacheCommand:
                       f"of MB, got {value!r}\n"
 
 
+class TestEngineEnv:
+    @pytest.mark.parametrize("argv", [
+        ["run", "eq32"],
+        ["campaign", "--minutes", "0.05", "--session", "3"],
+        ["bench", "--quick"],
+    ], ids=["run", "campaign", "bench"])
+    @pytest.mark.parametrize("value", ["warp", "tensor", "auto"])
+    def test_invalid_engine_env_rejected(self, capsys, monkeypatch, argv, value):
+        # Only the two per-session engines can be pinned; "tensor" and
+        # "auto" name the policy, which an unset variable already means.
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("$REPRO_ENGINE must be one of ('vectorized', "
+                                f"'reference'), got {value!r}\n")
+        assert captured.out == ""
+
+    def test_pinned_engine_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert main(["run", "eq32"]) == 0
+        assert "1213.44" in capsys.readouterr().out
+
+
 class TestCacheJsonStats:
     def test_stats_json_machine_readable(self, tmp_path, capsys):
         import json
