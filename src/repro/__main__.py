@@ -390,10 +390,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command in ("run", "campaign", "bench"):
-        from repro.ran.config import resolve_engine
+        from repro.ran.config import pinned_engine
 
         try:
-            resolve_engine()  # reads and validates $REPRO_ENGINE
+            pinned_engine()  # reads and validates $REPRO_ENGINE
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2

@@ -5,11 +5,13 @@ Four tracked workloads, selected with ``--workload``; each is one
 :func:`regression_failures` and :func:`render` look up:
 
 - ``slot`` (default) — the per-session slot engines, the hot path
-  under every figure and table: slots/sec of the vectorized and the
-  reference engine, cold and warm, on two sessions — the Fig. 1
-  single-carrier workload (the V_Sp n78 90 MHz deployment) and a
+  under every figure and table: slots/sec of the engine policy (the
+  compiled native period loop), the vectorized and the reference
+  engine, cold and warm, on three sessions — the Fig. 1
+  single-carrier workload (the V_Sp n78 90 MHz deployment), a
   Fig. 19-shaped, retransmission-heavy mmWave session (four FR2
-  carriers at driving speed).  Report: ``BENCH_slot_engine.json``.
+  carriers at driving speed) and Fig. 23's widest T-Mobile carrier
+  aggregate.  Report: ``BENCH_slot_engine.json``.
 - ``campaign`` — the execution layer end to end: sessions/sec of a
   four-operator campaign through :func:`repro.core.runner.run_tasks`
   (serial jobs=1 cold and warm, the legacy pipe transport at
@@ -73,6 +75,7 @@ import numpy as np
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "WORKLOADS",
+    "ca_session",
     "campaign_tasks",
     "history_report",
     "load_report",
@@ -249,49 +252,107 @@ def mmwave_session(duration_s: float = 5.0, seed: int = 2024):
     return _mmwave_run(duration_s, SCENARIOS[_MMWAVE_SCENARIO], seed)
 
 
+def ca_session(duration_s: float = 5.0, seed: int = 2024):
+    """One full-buffer DL session of T-Mobile's widest carrier
+    aggregate (n41 100+40 MHz and n25 20+5 MHz), built exactly as
+    Fig. 23 builds its "+ n25 5 (165 MHz)" row (an
+    :class:`~repro.ran.ca.AggregatedResult`)."""
+    from repro.operators.profiles import US_PROFILES
+
+    profile = US_PROFILES["Tmb_US"]
+    return profile.carrier_aggregation().simulate_downlink(
+        profile.dl_channel(), duration_s, rng=np.random.default_rng(seed),
+        params=profile.sim_params(), operator=profile.operator)
+
+
+def _slots_of_aggregate(result: Any) -> int:
+    return sum(len(trace) for trace in result.per_carrier)
+
+
+#: The slot workload's sessions: ``name -> (session(duration_s, seed),
+#: slot count of its result)``.
+_SLOT_SESSIONS: dict[str, tuple[Callable[[float, int], Any], Callable[[Any], int]]] = {
+    "single_ue": (single_ue_trace, len),
+    "mmwave": (mmwave_session, _slots_of_aggregate),
+    "carrier_aggregation": (ca_session, _slots_of_aggregate),
+}
+
+#: The slot workload's engine columns: the engine policy (``None``: the
+#: compiled native period loop) and the two pinned Python engines.
+_SLOT_ENGINES: dict[str, str | None] = {
+    "policy": None, "vectorized": "vectorized", "reference": "reference"}
+
+
 def _warm_process(seed: int) -> None:
     """Untimed process warmup before any timed engine run.
 
-    Lazy imports, numpy ufunc caches and other one-time process costs
-    used to land entirely on whichever engine was timed first (the
-    vectorized one), making its "cold" number look far worse than the
-    reference engine's.  Tiny untimed sessions of both engines pay
-    those costs up front; the TBS matrix cache is cleared again before
-    each timed cold run, so "cold" still means what it says.
+    Lazy imports, numpy ufunc caches, the native kernel's load and
+    other one-time process costs used to land entirely on whichever
+    engine was timed first, making its "cold" number look far worse
+    than the others'.  Tiny untimed sessions of every engine pay those
+    costs up front; the TBS matrix cache is cleared again before each
+    timed cold run, so "cold" still means what it says.
     """
-    for engine in ("vectorized", "reference"):
+    for engine in _SLOT_ENGINES.values():
         with _pinned_engine(engine):
-            single_ue_trace(0.2, seed)
-            mmwave_session(0.2, seed)
+            for session, _ in _SLOT_SESSIONS.values():
+                session(0.2, seed)
 
 
 def _measure_slot(quick: bool, seed: int, jobs: int | str) -> tuple[dict, dict, dict]:
-    """Both per-session slot engines on both sessions, serially (``jobs``
-    is unused): cold is one run after clearing the TBS cache, warm the
-    best of the remaining repetitions."""
-    duration_s = 2.0 if quick else 5.0
-    repetitions = 3 if quick else 11
-    _warm_process(seed)
+    """Every slot engine on every session, serially (``jobs`` is unused).
 
-    sessions = {
-        "single_ue": (partial(single_ue_trace, duration_s, seed), len),
-        "mmwave": (partial(mmwave_session, duration_s, seed),
-                   lambda result: sum(len(t) for t in result.per_carrier)),
-    }
+    Cold is one session per engine after clearing the TBS cache.  Warm
+    is the best of the remaining repetitions, each of which times every
+    engine back to back — so a minutes-long swing in host speed lands
+    on all engines of a repetition alike instead of on whichever engine
+    owned that stretch — and runs the session enough times to cover
+    ``min_slots`` slots, so a short session is not timed at scheduler
+    granularity.  The ``policy`` column is left out on a host where the
+    native kernel does not load (it would time the vectorized engine
+    again); the config records why.
+    """
+    from repro.ran._native import kernel_status, load_kernel
+
+    duration_s = 2.0 if quick else 5.0
+    repetitions = 3 if quick else 7
+    min_slots = 40_000 if quick else 150_000
+    _warm_process(seed)
+    engines = {label: engine for label, engine in _SLOT_ENGINES.items()
+               if engine is not None or load_kernel() is not None}
+
     workloads: dict[str, Any] = {}
-    for name, (session, n_slots_of) in sessions.items():
-        data: dict[str, Any] = {"n_slots": n_slots_of(session())}
-        for engine in ("vectorized", "reference"):
-            runs = [session] * repetitions
-            with _pinned_engine(engine):
-                cold = _best_of(runs[:1], data["n_slots"], rate="slots_per_s")
-                warm = _best_of(runs[1:], data["n_slots"], cold=False,
-                                rate="slots_per_s")
-            data[engine] = {"cold_slots_per_s": cold["slots_per_s"],
-                            "warm_slots_per_s": warm["slots_per_s"]}
-        workloads[name] = data
+    for name, (make, n_slots_of) in _SLOT_SESSIONS.items():
+        session = partial(make, duration_s, seed)
+        n_slots = n_slots_of(session())
+        loops = -(-min_slots // n_slots)
+
+        def batch(session=session, loops=loops) -> None:
+            for _ in range(loops):
+                session()
+
+        cold: dict[str, float] = {}
+        warm: dict[str, float] = {}
+        for rep in range(repetitions):
+            for label, engine in engines.items():
+                with _pinned_engine(engine):
+                    if rep == 0:
+                        cold[label] = _timed(session, n_slots,
+                                             rate="slots_per_s")["slots_per_s"]
+                    else:
+                        rate = _timed(batch, n_slots * loops, cold=False,
+                                      rate="slots_per_s")["slots_per_s"]
+                        warm[label] = max(warm.get(label, 0.0), rate)
+        workloads[name] = {"n_slots": n_slots, "loops": loops, **{
+            label: {"cold_slots_per_s": cold[label], "warm_slots_per_s": warm[label]}
+            for label in engines}}
+    kernel = kernel_status()
     config = {"profile": _BENCH_PROFILE, "mmwave_scenario": _MMWAVE_SCENARIO,
-              "duration_s": duration_s, "repetitions": repetitions, "seed": seed}
+              "duration_s": duration_s, "repetitions": repetitions,
+              "min_slots": min_slots, "seed": seed,
+              "native_kernel": kernel["available"]}
+    if not kernel["available"]:
+        config["native_error"] = kernel["error"]
     return config, workloads, {}
 
 
@@ -747,10 +808,20 @@ class Workload:
 
 def _vectorized_floor(name: str) -> Floor:
     # The segment-batched path must beat the scalar oracle warm on its
-    # home workload, or making it the default engine is wrong.
+    # home workload, or keeping it as the no-kernel engine is wrong.
     return Floor(f"{name}_vectorized_vs_reference",
                  ("speedup", f"{name}_vectorized_vs_reference"), 1.0,
                  "the vectorized engine must not lose to the reference "
+                 "engine warm")
+
+
+def _policy_floor(name: str) -> Floor:
+    # The engine policy runs a lone session on the native period loop;
+    # it must beat the vectorized engine it replaces warm, or routing
+    # sessions to it is wrong.  Absent (no native kernel) it skips.
+    return Floor(f"{name}_policy_vs_vectorized",
+                 ("speedup", f"{name}_policy_vs_vectorized"), 1.0,
+                 "the native period loop must not lose to the vectorized "
                  "engine warm")
 
 
@@ -773,12 +844,18 @@ WORKLOADS: dict[str, Workload] = {
         bench="slot_engine",
         file="BENCH_slot_engine.json",
         run=_measure_slot,
-        ratios=tuple((f"{name}_vectorized_vs_reference",
-                      (name, "vectorized"), (name, "reference"))
-                     for name in ("single_ue", "mmwave")),
-        normalized=tuple(((name, "vectorized"), (name, "reference"))
-                         for name in ("single_ue", "mmwave")),
-        floors=(_vectorized_floor("single_ue"), _vectorized_floor("mmwave")),
+        ratios=tuple((f"{name}_{engine}_vs_{base}", (name, engine), (name, base))
+                     for name in _SLOT_SESSIONS
+                     for engine, base in (("vectorized", "reference"),
+                                          ("policy", "vectorized"))),
+        normalized=tuple(((name, engine), (name, "reference"))
+                         for name in _SLOT_SESSIONS
+                         for engine in ("vectorized", "policy")),
+        # No vectorized floor on carrier_aggregation: its quick-mode
+        # vectorized/reference ratio dipped to 0.93x in 1 of 15 runs of
+        # an unchanged tree (median 1.38x), so it would gate on noise.
+        floors=(_vectorized_floor("single_ue"), _vectorized_floor("mmwave"),
+                *(_policy_floor(name) for name in _SLOT_SESSIONS)),
     ),
     "campaign": Workload(
         bench="campaign",
@@ -1001,7 +1078,9 @@ def regression_failures(current: dict[str, Any], baseline: dict[str, Any],
         if gated not in base:
             continue
         if gated not in now:
-            failures.append(f"{gated[0]}: missing from current report")
+            missing = f"{gated[0]}: missing from current report"
+            if missing not in failures:  # one line per workload, not per engine
+                failures.append(missing)
             continue
         if reference not in now or reference not in base:
             failures.append(f"{reference[0]}: reference workload missing "
@@ -1048,9 +1127,9 @@ def render(report: dict[str, Any]) -> str:
     for row, cell in _rows(report).items():
         fields = "  ".join(f"{key} {value:,.6g}" for key, value in cell.items()
                            if isinstance(value, (int, float)))
-        lines.append(f"  {'/'.join(row):22s} {fields}")
+        lines.append(f"  {'/'.join(row):30s} {fields}")
     for name, value in report.get("speedup", {}).items():
-        lines.append(f"  {name:34s} {value:>7.2f}x")
+        lines.append(f"  {name:44s} {value:>7.2f}x")
     # An entry's section lines: booleans read PASS/FAIL, and a line
     # whose section or field the report lacks is left out.
     for key, template in _BY_BENCH[report["bench"]].sections:

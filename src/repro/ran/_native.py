@@ -1,17 +1,24 @@
-"""Native retransmission kernel for the cohort tensor engine.
+"""Native slot kernel: the single-session period loop and the cohort
+retransmission pass.
 
-The cohort engine's dirty cells are dispatch-bound in numpy: one CQI
-period advances ~25 columns through a handful of events each, and at
-those sizes the per-ufunc dispatch cost dominates the arithmetic by two
-orders of magnitude.  This module compiles ``_retx_kernel.c`` — a
-transliteration of the per-session engine's retransmission walk with
-byte-identical semantics — into a tiny shared library with the system
-C compiler and loads it through :mod:`ctypes`.
+Both slot loops are dispatch-bound in Python and numpy: a CQI period
+is ~20 slots, and at that size per-call and per-ufunc overhead
+dominates the arithmetic by two orders of magnitude.  This module
+compiles ``_retx_kernel.c`` — a transliteration of the per-session
+engine's period loop with byte-identical semantics — into a tiny shared
+library with the system C compiler and loads it through :mod:`ctypes`.
+The library has two entry points:
 
-The kernel is the cohort engine's only path for retransmission work.
-When it is unavailable — no compiler, a failed build or a failed load —
-:func:`repro.ran.config.resolve_engine` runs cohorts through the
-per-session vectorized engine instead (same bytes), and
+- ``repro_run_periods`` (:func:`load_period_loop`, state in
+  :class:`SessionLoop`) runs a chunk of whole CQI periods of one
+  session; :mod:`repro.ran.simulator` drives it.
+- ``repro_retx_period`` (:func:`load_kernel`) advances the dirty
+  columns of one period of the cohort tensor engine
+  (:mod:`repro.ran.tensor`).
+
+When the library is unavailable — no compiler, a failed build or a
+failed load — :func:`repro.ran.config.resolve_engine` runs every
+session on the per-session vectorized engine instead (same bytes), and
 :func:`kernel_status` says why, so the bench report and the tensor
 engine's error message can name the cause.
 
@@ -36,7 +43,14 @@ NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 
 _SOURCE = Path(__file__).with_name("_retx_kernel.c")
 
-_state: dict[str, Any] = {"loaded": False, "fn": None, "error": None}
+#: Compiler flags.  ``-ffp-contract=off`` keeps ``a * b + c`` two
+#: rounded operations (as in Python) instead of one fused multiply-add
+#: on FMA-capable targets; without it the rank EWMA and the OLLA update
+#: drift from the Python engines in the last bit.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_state: dict[str, Any] = {"loaded": False, "fn": None, "loop": None, "error": None,
+                          "fallback_sessions": 0}
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -83,7 +97,7 @@ def _build(source: Path, out: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+            [cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, out)
@@ -93,18 +107,19 @@ def _build(source: Path, out: Path) -> None:
 
 
 def load_kernel():
-    """The compiled period kernel, or ``None`` when unavailable.
+    """The compiled cohort retx kernel, or ``None`` when unavailable.
 
-    First call compiles (or reuses the cached build) and memoizes the
-    outcome — including failures, so a broken toolchain costs one
-    attempt per process, not one per period.
+    First call compiles (or reuses the cached build) the whole library,
+    both entry points, and memoizes the outcome — including failures,
+    so a broken toolchain costs one attempt per process, not one per
+    period.
     """
     if _state["loaded"]:
         return _state["fn"]
     _state["loaded"] = True
     try:
         src = _SOURCE.read_bytes()
-        tag = hashlib.sha256(src).hexdigest()[:16]
+        tag = hashlib.sha256(src + " ".join(_CFLAGS).encode()).hexdigest()[:16]
         lib_path = _cache_dir() / f"retx-{tag}.so"
         if not lib_path.exists():
             _build(_SOURCE, lib_path)
@@ -112,17 +127,86 @@ def load_kernel():
         fn = lib.repro_retx_period
         fn.restype = _i64
         fn.argtypes = _ARGTYPES
+        loop = lib.repro_run_periods
+        loop.restype = _i64
+        loop.argtypes = [ctypes.POINTER(SessionLoop), _i64, _i64]
     except Exception as exc:  # noqa: BLE001 - any failure means no kernel
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None
     _state["fn"] = fn
+    _state["loop"] = loop
     return fn
 
 
+def load_period_loop():
+    """The compiled single-session period loop, or ``None`` when
+    unavailable (same library and memoized outcome as
+    :func:`load_kernel`).
+
+    ``loop(ctypes.byref(state), chunk_lo, chunk_hi)`` runs periods
+    ``[state.p, chunk_hi)`` and returns :data:`CHUNK_DONE`,
+    :data:`NEED_ROOM` (widen the HARQ lane, call again) or the index of
+    an error-probability row the next period needs (fill it over the
+    chunk, set ``ready``, call again).
+    """
+    if load_kernel() is None:
+        return None
+    return _state["loop"]
+
+
+#: ``repro_run_periods`` return codes; any value >= 0 is a row request.
+CHUNK_DONE = -1
+NEED_ROOM = -2
+
+_f64 = ctypes.c_double
+
+
+class SessionLoop(ctypes.Structure):
+    """``session_t`` of ``_retx_kernel.c``: one session's constants,
+    array pointers and resumable loop state, bound once per session so
+    each call passes one pointer.  Field order and types must match the
+    C declaration."""
+
+    _fields_ = [(name, ctype) for names, ctype in (
+        ("n_slots period", _i64),
+        ("measured cqi prb grant uniforms retx_uniforms usable special "
+         "mcs_lut", _ptr),
+        ("n_off off_lo n_mcs", _i64),
+        ("mod_lut tbs_full tbs_special", _ptr),
+        ("n_grants max_layers", _i64),
+        ("rank_up rank_keep", _ptr),
+        ("n_rank_steps adapter_max", _i64),
+        ("beta", _f64),
+        ("olla_enabled", _i64),
+        ("olla_up olla_down olla_lo olla_hi", _f64),
+        ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64),
+        ("scale", _f64),
+        ("rows", _ptr),
+        ("row_stride", _i64),
+        ("ready", _ptr),
+        ("cap", _i64),
+        ("due tbs att ph", _ptr),
+        ("pending", _i64),
+        ("dec fm tx cum seg_col seg_lo seg_hi ev_col ev_slot ev_tbs ev_ok "
+         "ev_retx t_scheduled t_is_retx t_error t_n_prb t_n_re t_mcs t_mod "
+         "t_layers t_tbs t_delivered t_cqi t_dci", _ptr),
+        ("p rank have_ewma", _i64),
+        ("ewma delta", _f64),
+    ) for name in names.split()]
+
+
+def count_fallback() -> None:
+    """Count one unpinned session that ran the vectorized engine because
+    the kernel is unavailable (see :func:`kernel_status`)."""
+    _state["fallback_sessions"] += 1
+
+
 def kernel_status() -> dict[str, Any]:
-    """Build/load outcome for diagnostics (stats, bench report)."""
+    """Build/load outcome for diagnostics (stats, bench report), with the
+    number of sessions this process ran on the no-kernel fallback."""
     return {
         "loaded": _state["loaded"],
         "available": _state["fn"] is not None,
         "error": _state["error"],
+        "fallback_sessions": _state["fallback_sessions"],
     }

@@ -6,7 +6,9 @@ maximum modulation order — together with the derived 3GPP objects (N_RB,
 MCS/CQI tables, CQI→MCS mapper) the simulator needs.
 
 The module also holds the slot-engine policy: :func:`resolve_engine`
-picks the engine a run uses from its cohort size and the one engine
+picks the engine a run uses — the native period loop, the cohort
+tensor pass, or the vectorized or reference Python engine — from its
+cohort size, whether the native kernel loads, and the one engine
 switch, the ``REPRO_ENGINE`` environment variable (:data:`ENGINE_ENV`).
 """
 
@@ -24,10 +26,11 @@ from repro.nr.numerology import Numerology, slot_duration_ms
 from repro.nr.tdd import TddPattern
 from repro.ran import _native
 
-#: Valid :data:`ENGINE_ENV` values: the two per-session slot engines.
-#: Unset, the engine policy of :func:`resolve_engine` applies (the
-#: vectorized engine per session, the cohort tensor pass of
-#: :mod:`repro.ran.tensor` for same-shape cohorts).  Every engine
+#: Valid :data:`ENGINE_ENV` values: the two Python per-session slot
+#: engines.  Unset, the engine policy of :func:`resolve_engine` applies
+#: (the compiled native period loop per session, the cohort tensor pass
+#: of :mod:`repro.ran.tensor` for same-shape cohorts, both falling back
+#: to the vectorized engine without the native kernel).  Every engine
 #: produces byte-identical traces, so the choice is purely performance.
 ENGINES = ("vectorized", "reference")
 
@@ -45,6 +48,22 @@ TENSOR_MIN_COHORT = 2
 ENGINE_ENV = "REPRO_ENGINE"
 
 
+def pinned_engine() -> str | None:
+    """The engine :data:`ENGINE_ENV` pins, or ``None`` when it is unset
+    or empty.
+
+    Raises :class:`ValueError` when it holds a value outside
+    :data:`ENGINES`; the CLI calls this once up front to turn that into
+    a one-line error (without loading the native kernel).
+    """
+    pinned = os.environ.get(ENGINE_ENV)
+    if not pinned:
+        return None
+    if pinned not in ENGINES:
+        raise ValueError(f"${ENGINE_ENV} must be one of {ENGINES}, got {pinned!r}")
+    return pinned
+
+
 def resolve_engine(cohort_size: int = 1) -> str:
     """The physical slot engine for a run of ``cohort_size`` sessions.
 
@@ -55,33 +74,28 @@ def resolve_engine(cohort_size: int = 1) -> str:
     ``REPRO_ENGINE``   cohort_size below   cohort_size >= TENSOR_MIN_COHORT
                        TENSOR_MIN_COHORT
     =================  ==================  ===============================
-    unset              ``vectorized``      ``tensor`` (``vectorized``
-                                           without the retx kernel)
+    unset              ``native``          ``tensor``
     ``vectorized``     ``vectorized``      ``vectorized`` (per session)
     ``reference``      ``reference``       ``reference`` (per session)
     =================  ==================  ===============================
 
-    The tensor pass is the segment-batched vectorized engine with a
-    sessions axis, so a cohort of one runs vectorized: a single column
-    has nothing to batch across.  Cohorts also run vectorized on hosts
-    where the compiled retx kernel
-    (:func:`repro.ran._native.load_kernel`) is unavailable: the kernel
-    is the tensor pass's only path for retransmission work.  The kernel
-    is consulted only for cohorts, so a per-session run never triggers
-    a compile.
+    ``native`` is the compiled single-session period loop and ``tensor``
+    the cross-session cohort pass; both need the native kernel
+    (:func:`repro.ran._native.load_kernel`).  On a host where it is
+    unavailable every unset cell runs ``vectorized`` instead.  So an
+    unpinned run loads the kernel on its first session, which compiles
+    it once per machine (cached by source digest); a pinned run never
+    touches it.
 
     Raises :class:`ValueError` when :data:`ENGINE_ENV` holds a value
-    outside :data:`ENGINES`; the CLI calls this once up front to turn
-    that into a one-line error.
+    outside :data:`ENGINES` (see :func:`pinned_engine`).
     """
-    pinned = os.environ.get(ENGINE_ENV)
+    pinned = pinned_engine()
     if pinned:
-        if pinned not in ENGINES:
-            raise ValueError(f"${ENGINE_ENV} must be one of {ENGINES}, got {pinned!r}")
         return pinned
-    if cohort_size >= TENSOR_MIN_COHORT and _native.load_kernel() is not None:
-        return "tensor"
-    return "vectorized"
+    if _native.load_kernel() is None:
+        return "vectorized"
+    return "tensor" if cohort_size >= TENSOR_MIN_COHORT else "native"
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,13 @@ Entry points:
 All functions return :class:`~repro.xcal.records.SlotTrace` objects, the
 XCAL-equivalent artifact the analysis layer consumes.
 
-Three slot engines produce byte-identical traces:
+Four slot engines produce byte-identical traces:
 
+- ``"native"`` — the compiled period loop (``repro_run_periods`` in
+  ``_retx_kernel.c``, driven by :func:`_native_periods`): whole CQI
+  periods of one session in C, link adaptation, decode, HARQ and the
+  trace writes included; only the logistic error probability is
+  evaluated in numpy, in lazily filled rows per chunk of periods.
 - ``"vectorized"`` — segment-batched numpy fast path: within each CQI
   period the slot range is split into maximal contiguous segments with
   no due HARQ retransmission, and every trace column of a segment is
@@ -24,23 +29,23 @@ Three slot engines produce byte-identical traces:
 - ``"tensor"`` — the cross-session cohort pass in
   :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
   run as one ``(sessions x slots)`` tensor, with retransmission windows
-  walked per column by a compiled transliteration of this module's
-  segment-batched machinery (``_retx_kernel.c``).
+  walked per column by the kernel's shared C lane walk.
 - ``"reference"`` — the original per-slot scalar loop, retained as the
   oracle for the equivalence test matrix.
 
-A lone session runs vectorized and a same-shape cohort runs on the
-tensor pass, unless the ``REPRO_ENGINE`` environment variable pins one
-of the two per-session engines; see
-:func:`repro.ran.config.resolve_engine`.  All slot-clock randomness is
-pre-drawn before the period loop, so every engine consumes the
-generator identically by construction.  The multi-UE loop of
-:func:`simulate_downlink_multi` has one engine, the per-slot scalar
-loop, whatever the switch says.
+A lone session runs native and a same-shape cohort runs on the tensor
+pass; without the native kernel both run vectorized, and the
+``REPRO_ENGINE`` environment variable pins one of the two Python
+per-session engines; see :func:`repro.ran.config.resolve_engine`.
+All slot-clock randomness is pre-drawn before the period loop, so
+every engine consumes the generator identically by construction.  The
+multi-UE loop of :func:`simulate_downlink_multi` has one engine, the
+per-slot scalar loop, whatever the switch says.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from dataclasses import dataclass, field, replace
 
@@ -53,7 +58,8 @@ from repro.nr.signal import sinr_to_cqi
 from repro.nr.tbs import cached_tbs_lookup_matrix, transport_block_size
 from repro.nr.tdd import SlotType
 from repro.ran.amc import BlerModel, Olla, RankAdapter
-from repro.ran.config import CellConfig, resolve_engine
+from repro.ran import _native
+from repro.ran.config import CellConfig, pinned_engine, resolve_engine
 from repro.ran.scheduler import Scheduler, SchedulingRequest
 from repro.xcal.records import SlotTrace, TraceMetadata
 
@@ -133,11 +139,12 @@ class SimParams:
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
 # Every engine — the scalar reference oracle, the segment-batched
-# vectorized engine, and the cohort tensor engine's compiled retx kernel
-# (which transliterates them in C) — answers the same two questions per
-# pending HARQ block: *can this slot serve it* and *with what error
-# probability*.  Both rules live here, so the Python engines cannot
-# re-derive (and silently drift from) the oracle's semantics.
+# vectorized engine, and the native kernel's lane walk shared by the
+# native period loop and the cohort tensor engine (which transliterates
+# them in C) — answers the same two questions per pending HARQ block:
+# *can this slot serve it* and *with what error probability*.  Both
+# rules live here, so the Python engines cannot re-derive (and silently
+# drift from) the oracle's semantics.
 
 def retx_fits_slot(is_special, tbs_bits, tbs_special) -> bool:
     """Serve-eligibility of a due retransmission in one slot.
@@ -313,6 +320,94 @@ def prewarm_tbs_matrices(cell: CellConfig, direction: SlotType = SlotType.DL,
     if full_grant > cell.grantable_rb:
         cache.get("primary", cell.grantable_rb)
         cache.get("fallback", cell.grantable_rb)
+
+
+# ---------------------------------------------------------------------- #
+# Dense link-adaptation lookup tables
+# ---------------------------------------------------------------------- #
+# CQI->MCS through the vendor mapper is a pure function of
+# (fallback?, cqi, olla offset); the offset is bounded by the Olla
+# clamp, so the whole map densifies into one integer LUT per carrier
+# family.  Cached process-wide: every session and cohort on a carrier
+# reuses it.
+_MCS_LUT_CACHE: dict = {}
+
+#: Integer OLLA offset bounds (``Olla`` is always constructed with
+#: defaults by the simulation loop; the offset is ``round(delta)`` of a
+#: delta clamped to these bounds).
+_OFF_LO = int(round(Olla().min_offset))
+_OFF_HI = int(round(Olla().max_offset))
+
+
+def _la_luts(cell: CellConfig):
+    """(mcs_lut, eff_lut, mod_lut, n_max) for a carrier.
+
+    ``mcs_lut[fb, cqi, offset - _OFF_LO]`` is the MCS index the mapper
+    returns; ``eff_lut[fb, mcs]`` / ``mod_lut[fb, mcs]`` the entry's
+    spectral efficiency and modulation order.  The family axis is
+    0=primary, 1=DCI 1_0 fallback; the MCS axis pads to the longer
+    table so both families gather through one fancy index — padding is
+    never read, because an MCS index is only ever paired with the
+    family whose mapper produced it.
+    """
+    key = (cell.max_modulation, cell.mapping_policy, cell.band_name)
+    cached = _MCS_LUT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    mappers = _mappers(cell)
+    n_off = _OFF_HI - _OFF_LO + 1
+    n_max = max(len(m.mcs_table) for m in mappers)
+    mcs_lut = np.zeros((2, CQI_MAX + 1, n_off), dtype=np.int64)
+    eff_lut = np.zeros((2, n_max))
+    mod_lut = np.zeros((2, n_max), dtype=np.int64)
+    for fb, mapper in enumerate(mappers):
+        table = mapper.mcs_table
+        for cqi in range(CQI_MAX + 1):
+            for j, offset in enumerate(range(_OFF_LO, _OFF_HI + 1)):
+                mcs_lut[fb, cqi, j] = mapper.mcs_for_cqi(cqi, olla_offset=offset)
+        for m, entry in enumerate(table):
+            eff_lut[fb, m] = entry.spectral_efficiency
+            mod_lut[fb, m] = entry.modulation.bits_per_symbol
+    cached = (mcs_lut, eff_lut, mod_lut, n_max)
+    _MCS_LUT_CACHE[key] = cached
+    return cached
+
+
+def _tbs_luts(tbs_cache: "_TbsCache", grants: np.ndarray, n_max: int,
+              max_layers: int, used: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(tbs_full, tbs_special) LUTs of shape ``(2, grants, n_max,
+    max_layers)``: the TBS lookup matrices of every grant size in
+    ``grants``, padded on the family axis like :func:`_la_luts`.
+
+    With ``used`` (a ``(2, grants)`` bool mask) only the marked
+    (family, grant) pairs are resolved; the rest stay zero and must not
+    be read.
+    """
+    tb_full = np.zeros((2, grants.size, n_max, max_layers), dtype=np.int64)
+    tb_special = np.zeros_like(tb_full)
+    for fbi, family in enumerate(("primary", "fallback")):
+        for g, grant in enumerate(grants.tolist()):
+            if used is not None and not used[fbi, g]:
+                continue
+            full, special = tbs_cache.get(family, int(grant))
+            tb_full[fbi, g, :full.shape[0]] = full
+            tb_special[fbi, g, :special.shape[0]] = special
+    return tb_full, tb_special
+
+
+def _rank_steps(rank_adapter: RankAdapter) -> list[tuple[int, float, float]]:
+    """``(rank, threshold to reach it, threshold to keep it)`` per
+    reachable rank above 1: the scalars :meth:`RankAdapter.rank_for_sinr`
+    computes per report, with the same float operations."""
+    steps = []
+    for k, threshold in enumerate(rank_adapter.thresholds_db):
+        candidate = k + 2
+        if candidate > rank_adapter.max_layers:
+            break
+        eff_up = threshold + rank_adapter.bias_db
+        steps.append((candidate, eff_up, eff_up - rank_adapter.hysteresis_db))
+    return steps
 
 
 class _Period:
@@ -643,6 +738,131 @@ _SLOT_ENGINES = {
 }
 
 
+#: CQI periods per native-loop chunk.  The lazy error-probability rows
+#: span one chunk, so this bounds their scratch memory (at most one row
+#: per (family, MCS) pair, each ``chunk x period`` slots long) and sets
+#: the trade between round trips to numpy and slots evaluated but
+#: never read.
+_CHUNK_PERIODS = 256
+
+#: Element types the native loop's rows may have (``bool`` is uint8).
+_C_DTYPES = tuple(np.dtype(t) for t in (np.int64, np.float64, np.uint8, np.bool_))
+
+
+def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
+                    params: SimParams, max_layers: int, usable: np.ndarray,
+                    special: np.ndarray, uniforms: np.ndarray,
+                    retx_uniforms: np.ndarray, measured: np.ndarray,
+                    cqi: np.ndarray, prb: np.ndarray, eff_cap: np.ndarray,
+                    tbs_cache: _TbsCache) -> None:
+    """Run every CQI period of one session through the compiled loop
+    (``repro_run_periods`` in ``_retx_kernel.c``), writing ``trace``'s
+    link columns in place.
+
+    The loop needs the logistic error probability, whose ``exp`` only
+    numpy may evaluate (libm rounds it differently).  So it runs in
+    chunks of :data:`_CHUNK_PERIODS` periods with lazy rows: when a
+    period's (family, MCS) row is not filled yet, the call returns the
+    row's index with its state saved in ``state``; this function fills
+    that row from the period's start to the chunk's end with the same
+    in-place ufunc sequence the Python engines run per period —
+    elementwise, so the values are bit-identical — and calls again.
+    Later periods of the chunk with the same MCS read the filled row.
+    """
+    n_slots = trace.scheduled.size
+    period = cell.cqi_period_slots
+    n_periods = measured.size
+    mcs_lut, eff_lut, mod_lut, n_max = _la_luts(cell)
+    is_qam256 = cell.max_modulation is Modulation.QAM256
+    fallback = (cqi <= params.dci_fallback_cqi) & is_qam256
+    grants, grant = np.unique(prb, return_inverse=True)
+    used = np.zeros((2, grants.size), dtype=bool)
+    used[fallback.view(np.int8), grant] = True
+    tbs_full, tbs_special = _tbs_luts(tbs_cache, grants, n_max, max_layers, used)
+    steps = _rank_steps(params.rank_adapter)
+    rank_up = np.array([up for _, up, _ in steps], dtype=np.float64)
+    rank_keep = np.array([keep for _, _, keep in steps], dtype=np.float64)
+    olla = Olla()
+
+    chunk_slots = min(_CHUNK_PERIODS, n_periods) * period
+    eff_rows = eff_lut.ravel()
+    rows = np.empty((eff_rows.size, chunk_slots))
+    ready = np.zeros(eff_rows.size, dtype=np.uint8)
+    cap = 4 * (period + params.harq_rtt_slots)
+    lane = [np.empty(cap, dtype=np.int64) for _ in range(3)] + [np.empty(cap)]
+    scratch_u8 = np.empty((3, period), dtype=np.uint8)
+    scratch_i64 = np.empty((7, period + 1), dtype=np.int64)
+    scratch_ev = np.empty((2, period + 1), dtype=np.uint8)
+    arrays = {
+        "measured": np.ascontiguousarray(measured, dtype=np.float64),
+        "cqi": np.ascontiguousarray(cqi, dtype=np.int64),
+        "prb": np.ascontiguousarray(prb, dtype=np.int64),
+        "grant": np.ascontiguousarray(grant, dtype=np.int64),
+        "uniforms": uniforms, "retx_uniforms": retx_uniforms,
+        "usable": usable.view(np.uint8), "special": special.view(np.uint8),
+        "mcs_lut": mcs_lut, "mod_lut": mod_lut,
+        "tbs_full": tbs_full, "tbs_special": tbs_special,
+        "rank_up": rank_up, "rank_keep": rank_keep,
+        "rows": rows, "ready": ready,
+        "dec": scratch_u8[0], "fm": scratch_u8[1], "tx": scratch_u8[2],
+        "cum": scratch_i64[0], "seg_col": scratch_i64[1],
+        "seg_lo": scratch_i64[2], "seg_hi": scratch_i64[3],
+        "ev_col": scratch_i64[4], "ev_slot": scratch_i64[5],
+        "ev_tbs": scratch_i64[6], "ev_ok": scratch_ev[0], "ev_retx": scratch_ev[1],
+        "t_scheduled": trace.scheduled, "t_is_retx": trace.is_retx,
+        "t_error": trace.error, "t_n_prb": trace.n_prb, "t_n_re": trace.n_re,
+        "t_mcs": trace.mcs_index, "t_mod": trace.modulation_order,
+        "t_layers": trace.layers, "t_tbs": trace.tbs_bits,
+        "t_delivered": trace.delivered_bits, "t_cqi": trace.cqi,
+        "t_dci": trace.dci_format,
+    }
+    # The C loop reads every row as contiguous int64, double or uint8.
+    for name, array in arrays.items():
+        if not (array.flags.c_contiguous and array.dtype in _C_DTYPES):
+            raise TypeError(f"native loop input {name!r} is not a contiguous "
+                            f"int64/float64/uint8 row: {array.dtype}")
+    state = _native.SessionLoop(
+        n_slots=n_slots, period=period,
+        n_off=mcs_lut.shape[2], off_lo=_OFF_LO, n_mcs=n_max,
+        n_grants=grants.size, max_layers=max_layers,
+        n_rank_steps=len(steps), adapter_max=params.rank_adapter.max_layers,
+        beta=params.rank_ewma_beta,
+        olla_enabled=params.olla_enabled, olla_up=olla.step_up,
+        olla_down=olla.step_down, olla_lo=olla.min_offset,
+        olla_hi=olla.max_offset, is_qam256=is_qam256,
+        dci_fallback_cqi=params.dci_fallback_cqi, rtt=params.harq_rtt_slots,
+        max_attempts=params.max_attempts, scale=params.retx_error_scale,
+        row_stride=chunk_slots, pending=0, p=0, rank=1, have_ewma=0,
+        ewma=0.0, delta=olla.delta,
+        **{name: array.ctypes.data for name, array in arrays.items()},
+    )
+
+    def bind_lane() -> None:
+        state.cap = lane[0].size
+        state.due, state.tbs, state.att, state.ph = (a.ctypes.data for a in lane)
+
+    bind_lane()
+    ref = ctypes.byref(state)
+    error_probability = params.bler.error_probability_given_capacity
+    for lo_p in range(0, n_periods, _CHUNK_PERIODS):
+        hi_p = min(n_periods, lo_p + _CHUNK_PERIODS)
+        lo, hi = lo_p * period, min(n_slots, hi_p * period)
+        chunk_cap = eff_cap[lo:hi]
+        ready[:] = 0
+        while (need := loop(ref, lo_p, hi_p)) != _native.CHUNK_DONE:
+            if need == _native.NEED_ROOM:
+                pending = state.pending
+                lane = [np.concatenate((a[:pending], np.empty(2 * a.size - pending, a.dtype)))
+                        for a in lane]
+                bind_lane()
+            else:
+                # Periods before state.p never read this row again.
+                at = state.p * period - lo
+                error_probability(eff_rows[need], chunk_cap[at:],
+                                  out=rows[need, at:hi - lo])
+                ready[need] = 1
+
+
 def _simulate_direction(
     cell: CellConfig,
     channel: ChannelRealization,
@@ -668,13 +888,7 @@ def _simulate_direction(
     if special_sym == 0:
         usable &= slot_types != SLOT_SPECIAL
 
-    primary_mapper, fallback_mapper = _mappers(cell)
     tbs_cache = _TbsCache(cell, max_layers, direction)
-
-    olla = Olla()
-    rank_adapter = params.rank_adapter
-    current_rank = 1
-    rank_sinr_ewma: float | None = None
     period = cell.cqi_period_slots
 
     # Pre-draw all randomness used on the slot clock.
@@ -688,11 +902,49 @@ def _simulate_direction(
     )
 
     sinr = channel.sinr_db
-    queue = _RetxQueue()
     special_mask = slot_types == SLOT_SPECIAL
-    # A lone session has no cohort: the policy resolves to the
-    # segment-batched vectorized engine (byte-identical by contract).
-    engine = _SLOT_ENGINES[resolve_engine()](n_slots, usable, special_mask)
+
+    # Hoist the per-period measurement chain out of the loop: measured
+    # SINR and CQI depend only on the channel and the pre-drawn noise,
+    # and the channel's sustainable efficiency depends only on the SINR
+    # series — none feed back from slot outcomes.  Every engine shares
+    # these arrays, so they cannot diverge here.
+    n_periods = -(-n_slots // period)
+    starts = np.arange(n_periods) * period
+    measured_all = sinr[np.maximum(starts - params.cqi_delay_slots, 0)] + noise[:n_periods]
+    cqi_all = np.minimum(
+        sinr_to_cqi(measured_all, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX
+    )
+    eff_cap = params.bler.capacity(sinr)
+    # Grant sizes depend only on the pre-drawn background series; the
+    # whole quantization chain runs once (np.rint ties-to-even matches
+    # the scalar round() it replaces).
+    prb_scaled = np.rint(n_prb * (1.0 - background[:n_periods])).astype(np.int64)
+    prb_quant = np.maximum(
+        _RB_QUANTUM,
+        (_RB_QUANTUM * np.rint(prb_scaled / _RB_QUANTUM)).astype(np.int64),
+    )
+    period_prb = np.minimum(prb_quant, n_prb)
+
+    engine_name = resolve_engine()
+    if engine_name == "native":
+        _native_periods(_native.load_period_loop(), trace, cell, params,
+                        max_layers, usable, special_mask, uniforms,
+                        retx_uniforms, measured_all, cqi_all, period_prb,
+                        eff_cap, tbs_cache)
+        _forward_fill_cqi(trace)
+        return trace
+    if engine_name == "vectorized" and pinned_engine() is None:
+        _native.count_fallback()  # unpinned, yet no kernel: never silent
+
+    primary_mapper, fallback_mapper = _mappers(cell)
+    is_qam256 = cell.max_modulation is Modulation.QAM256
+    olla = Olla()
+    rank_adapter = params.rank_adapter
+    current_rank = 1
+    rank_sinr_ewma: float | None = None
+    queue = _RetxQueue()
+    engine = _SLOT_ENGINES[engine_name](n_slots, usable, special_mask)
 
     pd = _Period()
     pd.params = params
@@ -702,28 +954,7 @@ def _simulate_direction(
     pd.usable = usable
     pd.special = special_mask
 
-    # Hoist the per-period measurement chain out of the loop: measured
-    # SINR and CQI depend only on the channel and the pre-drawn noise,
-    # and the channel's sustainable efficiency depends only on the SINR
-    # series — none feed back from slot outcomes.  Both engines share
-    # these arrays, so they cannot diverge here.
-    n_periods = -(-n_slots // period)
-    starts = np.arange(n_periods) * period
-    measured_all = sinr[np.maximum(starts - params.cqi_delay_slots, 0)] + noise[:n_periods]
-    cqi_all = np.minimum(
-        sinr_to_cqi(measured_all, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX
-    )
-    eff_cap = params.bler.capacity(sinr)
-    is_qam256 = cell.max_modulation is Modulation.QAM256
-    # Grant sizes depend only on the pre-drawn background series; the
-    # whole quantization chain runs once (np.rint ties-to-even matches
-    # the scalar round() it replaces).
-    prb_scaled = np.rint(n_prb * (1.0 - background[:n_periods])).astype(np.int64)
-    prb_quant = np.maximum(
-        _RB_QUANTUM,
-        (_RB_QUANTUM * np.rint(prb_scaled / _RB_QUANTUM)).astype(np.int64),
-    )
-    period_prb_all = np.minimum(prb_quant, n_prb).tolist()
+    period_prb_all = period_prb.tolist()
     measured_list = measured_all.tolist()
     cqi_list = cqi_all.tolist()
     # The loop resolves the same handful of link-adaptation keys every

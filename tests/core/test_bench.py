@@ -14,7 +14,8 @@ def _halve_rates(report: dict) -> dict:
     """``report`` on a machine half as fast: every timed row's rate halved."""
     slower = copy.deepcopy(report)
     for data in slower["workloads"].values():
-        for cell in (data, data.get("vectorized"), data.get("reference")):
+        for cell in (data, data.get("policy"), data.get("vectorized"),
+                     data.get("reference")):
             for key in ("sessions_per_s", "warm_slots_per_s"):
                 if cell and key in cell:
                     cell[key] /= 2.0
@@ -88,7 +89,8 @@ class _GateBehaviours:
 
 
 def _report(single_vec=800_000.0, single_ref=600_000.0,
-            mmwave_vec=700_000.0, mmwave_ref=400_000.0) -> dict:
+            mmwave_vec=700_000.0, mmwave_ref=400_000.0,
+            single_policy=2_400_000.0, mmwave_policy=2_100_000.0) -> dict:
     def cell(warm):
         return {"cold_slots_per_s": warm / 2, "warm_slots_per_s": warm}
 
@@ -97,14 +99,18 @@ def _report(single_vec=800_000.0, single_ref=600_000.0,
         "schema": bench.BENCH_SCHEMA_VERSION,
         "quick": True,
         "workloads": {
-            "single_ue": {"vectorized": cell(single_vec),
+            "single_ue": {"policy": cell(single_policy),
+                          "vectorized": cell(single_vec),
                           "reference": cell(single_ref), "n_slots": 4000},
-            "mmwave": {"vectorized": cell(mmwave_vec),
+            "mmwave": {"policy": cell(mmwave_policy),
+                       "vectorized": cell(mmwave_vec),
                        "reference": cell(mmwave_ref), "n_slots": 64000},
         },
         "speedup": {
             "single_ue_vectorized_vs_reference": round(single_vec / single_ref, 2),
+            "single_ue_policy_vs_vectorized": round(single_policy / single_vec, 2),
             "mmwave_vectorized_vs_reference": round(mmwave_vec / mmwave_ref, 2),
+            "mmwave_policy_vs_vectorized": round(mmwave_policy / mmwave_vec, 2),
         },
     }
 
@@ -137,6 +143,34 @@ class TestRegressionGate(_GateBehaviours):
     def test_vectorized_matching_reference_passes(self):
         report = _report(single_vec=600_000.0, single_ref=600_000.0)
         assert bench.regression_failures(report, report) == []
+
+    def test_policy_not_beating_vectorized_fails(self):
+        # The engine policy (the native period loop) must beat the
+        # vectorized engine warm, in both modes.
+        for quick in (True, False):
+            report = _report(single_policy=700_000.0)
+            report["quick"] = quick
+            failures = bench.regression_failures(report, report)
+            assert [f.split(":")[0] for f in failures] == [
+                "single_ue_policy_vs_vectorized"]
+
+    def test_policy_only_slowdown_fails(self):
+        base = _report()
+        failures = bench.regression_failures(_halved(base, "mmwave", "policy"), base)
+        assert [f.split(":")[0] for f in failures] == ["mmwave"]
+
+    def test_report_without_policy_column(self):
+        # A host without the native kernel reports no policy column: its
+        # floors skip, but against a baseline that has the column the
+        # gate names each workload once.
+        report = _report()
+        for name in ("single_ue", "mmwave"):
+            del report["workloads"][name]["policy"]
+            del report["speedup"][f"{name}_policy_vs_vectorized"]
+        assert bench.regression_failures(report, report) == []
+        assert bench.regression_failures(report, _report()) == [
+            "single_ue: missing from current report",
+            "mmwave: missing from current report"]
 
 
 def _campaign_report(jobs1_cold=50.0, jobs1_warm=400.0, pipe=90.0,

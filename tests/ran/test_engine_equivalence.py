@@ -1,26 +1,34 @@
-"""Byte-identity of the vectorized slot engine against the scalar oracle.
+"""Byte-identity of the per-session slot engines against the scalar oracle.
 
-The vectorized engine is the default; the scalar reference engine
-(``REPRO_ENGINE=reference``) is kept as the correctness oracle.
-The contract is not "statistically close" but *byte-identical npz
-traces*: both engines must consume the RNG in the same order and
-produce the same doubles, so every config knob that changes the slot
-loop's shape (modulation table, TDD vs FDD, OLLA on/off, SINR regime
-and hence retx density, DL vs UL) gets a parametrized equality case,
-plus a seeded randomized-config sweep as a tripwire for interactions
-the matrix misses.  The multi-UE loop has a single engine, so it has
-no pair to compare.
+A lone session runs the compiled native period loop when the engine
+switch is unset (the vectorized engine without the native kernel); the
+scalar reference engine (``REPRO_ENGINE=reference``) is kept as the
+correctness oracle.  The contract is not "statistically close" but
+*byte-identical npz traces*: every engine must consume the RNG in the
+same order and produce the same doubles, so every config knob that
+changes the slot loop's shape (modulation table, TDD vs FDD, OLLA
+on/off, SINR regime and hence retx density, DL vs UL) gets a
+parametrized equality case, plus a seeded randomized-config sweep and a
+hypothesis property over the operator profiles as tripwires for
+interactions the matrix misses.  The multi-UE loop has a single
+engine, so it has no pair to compare.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.channel.model import SyntheticChannel
-from repro.nr.mcs import Modulation
+from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM, Modulation
 from repro.nr.tdd import TddPattern
-from repro.ran.config import CellConfig
+from repro.operators.profiles import ALL_PROFILES
+from repro.ran import _native
+from repro.ran.amc import BlerModel
+from repro.ran.config import ENGINE_ENV, CellConfig, resolve_engine
 from repro.ran.simulator import SimParams, simulate_downlink, simulate_uplink
 from repro.xcal.io import npz_bytes, trace_to_arrays
 
@@ -78,6 +86,9 @@ def test_single_ue_downlink_byte_identical(monkeypatch, case: str, seed: int):
     ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, seed,
                       "reference", **params)
     assert vec == ref
+    native = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                         seed, "", **params)
+    assert native == ref
 
 
 @pytest.mark.parametrize("seed", [3, 1234])
@@ -105,3 +116,122 @@ def test_randomized_configs_byte_identical(monkeypatch):
         ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
                           seed, "reference", **params)
         assert vec == ref, (tdd, mean_sinr_db, seed, params)
+
+
+# ---------------------------------------------------------------------- #
+# The engine policy's native period loop
+# ---------------------------------------------------------------------- #
+def _profile_session(profile, direction: str, seed: int, olla_enabled: bool):
+    """One 1 s full-buffer session of an operator profile, built as a
+    campaign session is."""
+    rng = np.random.default_rng(seed)
+    cell = profile.primary_cell
+    params = profile.sim_params(olla_enabled=olla_enabled)
+    if direction == "UL":
+        channel = profile.ul_channel().realize(1.0, mu=cell.mu, rng=rng)
+        return simulate_uplink(cell, channel, rng=rng, params=params,
+                               max_layers=profile.ul_max_layers)
+    channel = profile.dl_channel().realize(1.0, mu=cell.mu, rng=rng)
+    return simulate_downlink(cell, channel, rng=rng, params=params)
+
+
+@given(profile_key=st.sampled_from(sorted(ALL_PROFILES)),
+       direction=st.sampled_from(["DL", "UL"]),
+       sinr_offset_db=st.floats(min_value=-15.0, max_value=15.0),
+       olla_enabled=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_engines_byte_identical_property(monkeypatch, profile_key, direction,
+                                         sinr_offset_db, olla_enabled, seed):
+    """Policy (the native loop), vectorized and reference traces of one
+    session are byte-identical for any operator profile, direction, SINR
+    regime, OLLA setting and seed."""
+    base = ALL_PROFILES[profile_key]
+    profile = replace(base, mean_sinr_db=base.mean_sinr_db + sinr_offset_db)
+    traces = {}
+    for engine in ("", "vectorized", "reference"):  # "": the policy
+        monkeypatch.setenv(ENGINE_ENV, engine)
+        traces[engine] = _trace_bytes(
+            _profile_session(profile, direction, seed, olla_enabled))
+    assert traces[""] == traces["vectorized"] == traces["reference"]
+
+
+def test_policy_runs_the_native_loop_when_the_kernel_loads(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    expected = "vectorized" if _native.load_kernel() is None else "native"
+    assert resolve_engine() == expected
+
+
+def test_no_kernel_falls_back_to_vectorized(monkeypatch):
+    """Without the native kernel a lone session runs the vectorized
+    engine, with the same bytes, and ``kernel_status`` says why and
+    counts it."""
+    cell, mean_sinr_db, params = SINGLE_UE_CASES["tdd-256qam-mid"]
+    with_kernel = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                              7, "", **params)
+    monkeypatch.setattr(_native, "_state",
+                        {"loaded": True, "fn": None, "loop": None,
+                         "error": "RuntimeError: no C compiler on PATH",
+                         "fallback_sessions": 0})
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert resolve_engine() == "vectorized"
+    assert _native.load_period_loop() is None
+    status = _native.kernel_status()
+    assert status["available"] is False
+    assert "no C compiler" in status["error"]
+    without = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                          7, "", **params)
+    assert without == with_kernel
+    assert _native.kernel_status()["fallback_sessions"] == 1
+    # A pinned run is not a fallback.
+    _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, 7,
+                "vectorized", **params)
+    assert _native.kernel_status()["fallback_sessions"] == 1
+
+
+# ---------------------------------------------------------------------- #
+# Lazy error-probability rows
+# ---------------------------------------------------------------------- #
+# The native loop reads the logistic error probability from rows that
+# numpy fills over a whole chunk of periods (``exp`` must be numpy's).
+# That is only byte-identical to the Python engines' per-period
+# evaluation because the ufunc sequence is elementwise: these tests pin
+# it.
+
+_EFFICIENCIES = sorted({entry.spectral_efficiency
+                        for table in (MCS_TABLE_64QAM, MCS_TABLE_256QAM)
+                        for entry in table})
+
+
+def _chunk_capacity(n_slots: int = 5120) -> np.ndarray:
+    sinr = np.random.default_rng(5).normal(12.0, 9.0, n_slots)
+    return BlerModel().capacity(sinr)
+
+
+@pytest.mark.parametrize("start", [0, 20, 2460, 5100])
+def test_lazy_row_matches_per_period_evaluation(start: int):
+    """A row filled over a chunk slice (from any period start to the
+    chunk end) equals the 20-slot per-period evaluations bit for bit."""
+    bler = BlerModel()
+    cap = _chunk_capacity()
+    row = np.empty(cap.size)
+    per_period = np.empty(20)
+    for eff in _EFFICIENCIES:
+        bler.error_probability_given_capacity(eff, cap[start:], out=row[start:])
+        for lo in range(start, cap.size, 20):
+            expected = bler.error_probability_given_capacity(
+                eff, cap[lo:lo + 20], out=per_period[:min(20, cap.size - lo)])
+            assert row[lo:lo + 20].tobytes() == expected.tobytes()
+
+
+def test_lazy_tile_matches_rows():
+    """A 2-D (values x slots) tile equals the 1-D rows bit for bit."""
+    bler = BlerModel()
+    cap = _chunk_capacity()
+    effs = np.array(_EFFICIENCIES)
+    tile = bler.error_probability_given_capacity(effs[:, None], cap,
+                                                 out=np.empty((effs.size, cap.size)))
+    for k, eff in enumerate(_EFFICIENCIES):
+        row = bler.error_probability_given_capacity(eff, cap, out=np.empty(cap.size))
+        assert tile[k].tobytes() == row.tobytes()

@@ -285,7 +285,7 @@ class TestEnginePolicy:
 
     def test_decision_table(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine(1) == "vectorized"
+        assert resolve_engine(1) == "native"
         assert resolve_engine(2) == "tensor"
         assert resolve_engine(32) == "tensor"
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
