@@ -41,10 +41,11 @@ worker pool (a :class:`repro.core.runner.CampaignExecutor`) across all
 sessions: results come back through shared memory, and when a store is
 configured the workers write results to it directly.
 
-``REPRO_ENGINE`` (``vectorized`` or ``reference``) pins sessions to one
-per-session slot engine; the bytes are the same either way.  ``run``,
-``campaign`` and ``bench`` exit 2 on any other value before anything
-runs.
+``REPRO_ENGINE=reference`` pins every session to the reference slot
+engine, the scalar oracle that also runs every session on a host
+without the native kernel; the bytes are the same either way.
+``run``, ``campaign`` and ``bench`` exit 2 on any other value before
+anything runs.
 
 ``--reduce`` (on ``run`` for fig01/fig12/table1, and on ``campaign``)
 streams sessions through mergeable KPI sketches instead of

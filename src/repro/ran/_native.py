@@ -4,7 +4,7 @@ retransmission pass.
 Both slot loops are dispatch-bound in Python and numpy: a CQI period
 is ~20 slots, and at that size per-call and per-ufunc overhead
 dominates the arithmetic by two orders of magnitude.  This module
-compiles ``_retx_kernel.c`` — a transliteration of the per-session
+compiles ``_retx_kernel.c`` — a transliteration of the reference
 engine's period loop with byte-identical semantics — into a tiny shared
 library with the system C compiler and loads it through :mod:`ctypes`.
 The library has two entry points:
@@ -18,7 +18,7 @@ The library has two entry points:
 
 When the library is unavailable — no compiler, a failed build or a
 failed load — :func:`repro.ran.config.resolve_engine` runs every
-session on the per-session vectorized engine instead (same bytes), and
+session on the per-session reference engine instead (same bytes), and
 :func:`kernel_status` says why, so the bench report and the tensor
 engine's error message can name the cause.
 
@@ -196,8 +196,9 @@ class SessionLoop(ctypes.Structure):
 
 
 def count_fallback() -> None:
-    """Count one unpinned session that ran the vectorized engine because
-    the kernel is unavailable (see :func:`kernel_status`)."""
+    """Count one unpinned session that ran the reference engine because
+    the kernel is unavailable (see :func:`kernel_status`); a session
+    pinned there with ``REPRO_ENGINE=reference`` is not counted."""
     _state["fallback_sessions"] += 1
 
 

@@ -1,10 +1,9 @@
 /* Native slot kernel: the cohort retransmission pass and the
  * single-session period loop.
  *
- * Both entry points share one per-column walk (`walk_period`), a
- * transliteration of the per-session engine's
- * `_VectorizedEngine.run_period` / `_fallback_slot` pair in
- * simulator.py: the cursor visits each slot of the period, serving due
+ * Both entry points share one per-column walk (`walk_period`), which
+ * gives the per-slot results of the reference engine's `_scalar_slot`
+ * in simulator.py: the cursor visits each slot of the period, serving due
  * retransmissions at eligible slots (the shared retx_fits_slot rule),
  * transmitting new data at special slots that cannot carry an
  * oversized due block (the deferral rule), and committing maximal clean

@@ -7,9 +7,9 @@ MCS/CQI tables, CQI→MCS mapper) the simulator needs.
 
 The module also holds the slot-engine policy: :func:`resolve_engine`
 picks the engine a run uses — the native period loop, the cohort
-tensor pass, or the vectorized or reference Python engine — from its
-cohort size, whether the native kernel loads, and the one engine
-switch, the ``REPRO_ENGINE`` environment variable (:data:`ENGINE_ENV`).
+tensor pass, or the reference engine — from its cohort size, whether
+the native kernel loads, and the one engine switch, the
+``REPRO_ENGINE`` environment variable (:data:`ENGINE_ENV`).
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ from repro.nr.numerology import Numerology, slot_duration_ms
 from repro.nr.tdd import TddPattern
 from repro.ran import _native
 
-#: Valid :data:`ENGINE_ENV` values: the two Python per-session slot
-#: engines.  Unset, the engine policy of :func:`resolve_engine` applies
-#: (the compiled native period loop per session, the cohort tensor pass
-#: of :mod:`repro.ran.tensor` for same-shape cohorts, both falling back
-#: to the vectorized engine without the native kernel).  Every engine
-#: produces byte-identical traces, so the choice is purely performance.
-ENGINES = ("vectorized", "reference")
+#: Valid :data:`ENGINE_ENV` values: the Python per-session slot engine,
+#: the reference oracle.  Unset, the engine policy of
+#: :func:`resolve_engine` applies (the compiled native period loop per
+#: session, the cohort tensor pass of :mod:`repro.ran.tensor` for
+#: same-shape cohorts, both falling back to the reference engine
+#: without the native kernel).  Every engine produces byte-identical
+#: traces, so the choice is purely performance.
+ENGINES = ("reference",)
 
 #: Smallest cohort for which the engine policy selects the cross-session
 #: tensor pass.  Below this the per-column bookkeeping of the tensor
-#: engine costs more than the batching saves and ``"vectorized"`` wins.
+#: engine costs more than the batching saves and ``"native"`` wins.
 TENSOR_MIN_COHORT = 2
 
 #: The one engine switch.  When set (to a value in :data:`ENGINES`) it
@@ -60,7 +61,8 @@ def pinned_engine() -> str | None:
     if not pinned:
         return None
     if pinned not in ENGINES:
-        raise ValueError(f"${ENGINE_ENV} must be one of {ENGINES}, got {pinned!r}")
+        raise ValueError(f"${ENGINE_ENV} must be unset or "
+                         f"{' or '.join(map(repr, ENGINES))}, got {pinned!r}")
     return pinned
 
 
@@ -75,14 +77,13 @@ def resolve_engine(cohort_size: int = 1) -> str:
                        TENSOR_MIN_COHORT
     =================  ==================  ===============================
     unset              ``native``          ``tensor``
-    ``vectorized``     ``vectorized``      ``vectorized`` (per session)
     ``reference``      ``reference``       ``reference`` (per session)
     =================  ==================  ===============================
 
     ``native`` is the compiled single-session period loop and ``tensor``
     the cross-session cohort pass; both need the native kernel
     (:func:`repro.ran._native.load_kernel`).  On a host where it is
-    unavailable every unset cell runs ``vectorized`` instead.  So an
+    unavailable every unset cell runs ``reference`` instead.  So an
     unpinned run loads the kernel on its first session, which compiles
     it once per machine (cached by source digest); a pinned run never
     touches it.
@@ -94,7 +95,7 @@ def resolve_engine(cohort_size: int = 1) -> str:
     if pinned:
         return pinned
     if _native.load_kernel() is None:
-        return "vectorized"
+        return "reference"
     return "tensor" if cohort_size >= TENSOR_MIN_COHORT else "native"
 
 

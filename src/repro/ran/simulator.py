@@ -14,29 +14,25 @@ Entry points:
 All functions return :class:`~repro.xcal.records.SlotTrace` objects, the
 XCAL-equivalent artifact the analysis layer consumes.
 
-Four slot engines produce byte-identical traces:
+Three slot engines produce byte-identical traces:
 
 - ``"native"`` — the compiled period loop (``repro_run_periods`` in
   ``_retx_kernel.c``, driven by :func:`_native_periods`): whole CQI
   periods of one session in C, link adaptation, decode, HARQ and the
   trace writes included; only the logistic error probability is
   evaluated in numpy, in lazily filled rows per chunk of periods.
-- ``"vectorized"`` — segment-batched numpy fast path: within each CQI
-  period the slot range is split into maximal contiguous segments with
-  no due HARQ retransmission, and every trace column of a segment is
-  filled with one bulk write; the scalar path runs only inside
-  retransmission windows.
 - ``"tensor"`` — the cross-session cohort pass in
   :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
   run as one ``(sessions x slots)`` tensor, with retransmission windows
   walked per column by the kernel's shared C lane walk.
-- ``"reference"`` — the original per-slot scalar loop, retained as the
-  oracle for the equivalence test matrix.
+- ``"reference"`` — the per-slot scalar loop (:func:`_scalar_slot`),
+  the oracle for the equivalence test matrix and the path of every
+  session on a host without the native kernel.
 
 A lone session runs native and a same-shape cohort runs on the tensor
-pass; without the native kernel both run vectorized, and the
-``REPRO_ENGINE`` environment variable pins one of the two Python
-per-session engines; see :func:`repro.ran.config.resolve_engine`.
+pass; without the native kernel both run the reference loop, and
+``REPRO_ENGINE=reference`` pins it on any host; see
+:func:`repro.ran.config.resolve_engine`.
 All slot-clock randomness is pre-drawn before the period loop, so
 every engine consumes the generator identically by construction.  The
 multi-UE loop of :func:`simulate_downlink_multi` has one engine, the
@@ -138,13 +134,12 @@ class SimParams:
 # ---------------------------------------------------------------------- #
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
-# Every engine — the scalar reference oracle, the segment-batched
-# vectorized engine, and the native kernel's lane walk shared by the
-# native period loop and the cohort tensor engine (which transliterates
-# them in C) — answers the same two questions per pending HARQ block:
-# *can this slot serve it* and *with what error probability*.  Both
-# rules live here, so the Python engines cannot re-derive (and silently
-# drift from) the oracle's semantics.
+# Every engine — the scalar reference oracle and the native kernel's
+# lane walk shared by the native period loop and the cohort tensor
+# engine (which transliterates them in C) — answers the same two
+# questions per pending HARQ block: *can this slot serve it* and *with
+# what error probability*.  Both rules live here, next to the oracle
+# that defines them.
 
 def retx_fits_slot(is_special, tbs_bits, tbs_special) -> bool:
     """Serve-eligibility of a due retransmission in one slot.
@@ -187,9 +182,6 @@ class _RetxQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     @property
     def head(self) -> tuple[int, int, int, int, float]:
@@ -411,7 +403,7 @@ def _rank_steps(rank_adapter: RankAdapter) -> list[tuple[int, float, float]]:
 
 
 class _Period:
-    """Per-CQI-period context shared by the slot engines.
+    """Per-CQI-period context of the reference loop.
 
     Everything the per-slot logic needs, resolved once per period: the
     link-adaptation decision (MCS, layers, CQI, DCI format, grant size,
@@ -426,13 +418,11 @@ class _Period:
 
 
 def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tuple[int, int]:
-    """Process one slot exactly as the reference engine defines it.
+    """Process one slot exactly as the reference engine defines it,
+    writing the trace immediately.
 
     Returns ``(acks, nacks)`` counted over *new* transmissions only
-    (retransmissions do not feed OLLA).  Both engines route through
-    this function — the reference engine for every slot, the vectorized
-    engine inside retransmission windows — so their per-slot semantics
-    cannot drift apart.
+    (retransmissions do not feed OLLA).
     """
     if not pd.usable[i]:
         return 0, 0
@@ -486,258 +476,6 @@ def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tu
     return 0, 1
 
 
-class _ReferenceEngine:
-    """Scalar oracle: every slot through :func:`_scalar_slot`, written
-    to the trace immediately."""
-
-    def __init__(self, n_slots: int, usable: np.ndarray, special: np.ndarray):
-        pass
-
-    def run_period(self, trace: SlotTrace, queue: _RetxQueue, pd: _Period) -> tuple[int, int]:
-        acks = 0
-        nacks = 0
-        for i in range(pd.start, pd.stop):
-            a, n = _scalar_slot(trace, queue, pd, i)
-            acks += a
-            nacks += n
-        return acks, nacks
-
-    def flush(self, trace: SlotTrace) -> None:
-        pass
-
-
-class _VectorizedEngine:
-    """Segment-batched fast path.
-
-    Each CQI period is split into maximal contiguous segments with no
-    due HARQ retransmission.  Inside a segment every usable slot carries
-    a new transmission whose outcome is already known (``decoded_new``
-    is pre-drawn), so the per-slot work collapses to bookkeeping: the
-    segment's transmit pattern is copied into a trace-length mask and
-    its per-period constants (MCS, grant, CQI, ...) are appended to
-    chunk lists.  Two events bound a segment: the head of the
-    retransmission queue coming due, and a fresh NACK whose
-    retransmission becomes due ``harq_rtt_slots`` later.  Slots inside
-    retransmission windows fall back to :func:`_scalar_slot`, which
-    writes the trace directly.
-
-    NACKs are pushed onto the queue in slot order as each segment is
-    scanned (the queue drives the segmentation), but trace columns are
-    materialized once per trace in :meth:`flush`: chunk constants expand
-    through ``np.repeat`` and land with one bulk write per column.
-    Scalar slots own disjoint indices, so flush order is immaterial.
-    """
-
-    def __init__(self, n_slots: int, usable: np.ndarray, special: np.ndarray):
-        self._special = special
-        # Transmit patterns for the three live (tbs_full, tbs_special)
-        # sign cases, precomputed over the whole trace, each with a
-        # prefix-sum so a segment's transmission count is two lookups.
-        self._tx_both = usable
-        self._tx_full_only = usable & ~special
-        self._tx_special_only = usable & special
-        self._cum_both = self._prefix_counts(self._tx_both)
-        self._cum_full_only = self._prefix_counts(self._tx_full_only)
-        self._cum_special_only = self._prefix_counts(self._tx_special_only)
-        # ``decoded`` is read only where ``txmask`` was set, and every
-        # such slot is written first.
-        self._decoded = np.empty(n_slots, dtype=bool)
-        self._txmask = np.zeros(n_slots, dtype=bool)
-        self._scratch: np.ndarray | None = None
-        # Per-chunk constants (one chunk per committed segment).
-        self._counts: list[int] = []
-        self._prb: list[int] = []
-        self._mcs: list[int] = []
-        self._mod: list[int] = []
-        self._layers: list[int] = []
-        self._cqi: list[int] = []
-        self._dci: list[int] = []
-        self._tbsf: list[int] = []
-        self._tbss: list[int] = []
-        # Per-event buffer for fallback slots (retransmissions and
-        # deferral-displaced new transmissions) — flushed in bulk too.
-        # One tuple per event: (slot, tbs, ok, is_retx, prb, mcs, mod,
-        # layers, cqi, dci).
-        self._events: list[tuple] = []
-
-    @staticmethod
-    def _prefix_counts(tx: np.ndarray) -> np.ndarray:
-        counts = np.zeros(tx.size + 1, dtype=np.int64)
-        np.cumsum(tx, out=counts[1:])
-        return counts
-
-    def _fallback_slot(self, queue: _RetxQueue, pd: "_Period", i: int) -> tuple[int, int]:
-        """Per-slot fallback with the exact :func:`_scalar_slot` semantics,
-        buffering its trace writes instead of landing them immediately."""
-        if not pd.usable[i]:
-            return 0, 0
-        is_special = bool(pd.special[i])
-        heap = queue._heap
-        if heap and heap[0][0] <= i and \
-                retx_fits_slot(is_special, heap[0][2], pd.tbs_special):
-            _due, _seq, tbs, attempts, p_hint = queue.pop()
-            params = pd.params
-            p_retx = retx_error_probability(p_hint, params.retx_error_scale)
-            ok = bool(pd.retx_uniforms[i] >= p_retx)
-            self._events.append((i, tbs, ok, True, pd.prb, pd.mcs, pd.mod,
-                                 pd.layers, pd.cqi, pd.dci))
-            if not ok and attempts + 1 < params.max_attempts:
-                queue.push(i + params.harq_rtt_slots, tbs, attempts + 1, p_hint)
-            return 0, 0
-        tbs = pd.tbs_special if is_special else pd.tbs_full
-        if tbs <= 0:
-            return 0, 0
-        j = i - pd.start
-        ok = bool(pd.decoded_new[j])
-        self._events.append((i, tbs, ok, False, pd.prb, pd.mcs, pd.mod,
-                             pd.layers, pd.cqi, pd.dci))
-        if ok:
-            return 1, 0
-        queue.push(i + pd.params.harq_rtt_slots, tbs, 1, float(pd.p_err[j]))
-        return 0, 1
-
-    def run_period(self, trace: SlotTrace, queue: _RetxQueue, pd: _Period) -> tuple[int, int]:
-        start, stop = pd.start, pd.stop
-        tbs_full, tbs_special = pd.tbs_full, pd.tbs_special
-        acks = 0
-        nacks = 0
-        if tbs_full > 0 and tbs_special > 0:
-            tx = self._tx_both
-            cum = self._cum_both
-        elif tbs_full > 0:
-            tx = self._tx_full_only
-            cum = self._cum_full_only
-        elif tbs_special > 0:
-            tx = self._tx_special_only
-            cum = self._cum_special_only
-        else:
-            # Nothing transmittable this period; only due retransmissions
-            # can occupy slots, and the fallback skips the rest.
-            for i in range(start, stop):
-                a, n = self._fallback_slot(queue, pd, i)
-                acks += a
-                nacks += n
-            return acks, nacks
-
-        self._decoded[start:stop] = pd.decoded_new
-        # Fresh-NACK candidate positions (period-relative), with their
-        # retransmission hints, extracted once per period (scratch buffer
-        # reused across periods — the mask is consumed immediately).
-        scratch = self._scratch
-        if scratch is None or scratch.size < stop - start:
-            self._scratch = scratch = np.empty(stop - start, dtype=bool)
-        failed = np.logical_not(pd.decoded_new, out=scratch[:stop - start])
-        failed &= tx[start:stop]
-        err_pos = failed.nonzero()[0].tolist()
-        n_err = len(err_pos)
-        uniform_tbs = tbs_special == tbs_full
-        e = 0
-        rtt = pd.params.harq_rtt_slots
-        txmask = self._txmask
-        heap = queue._heap
-        special = self._special
-        p_err = pd.p_err
-
-        i = start
-        while i < stop:
-            if heap and heap[0][0] <= i:
-                # Retransmission window: per-slot fallback until the due
-                # block is served (or deferred past a special slot that
-                # cannot carry it).
-                a, n = self._fallback_slot(queue, pd, i)
-                acks += a
-                nacks += n
-                i += 1
-                # The fallback owned that position — drop any fresh-NACK
-                # candidate there (a served retx displaced the new data; a
-                # fallback new transmission already queued its own NACK).
-                while e < n_err and err_pos[e] < i - start:
-                    e += 1
-                continue
-            seg_end = stop if not heap else min(stop, heap[0][0])
-            # The first fresh NACK inside the segment re-arms the queue
-            # rtt slots later; the segment cannot extend past that.
-            if e < n_err:
-                first = start + err_pos[e]
-                if first < seg_end and first + rtt < seg_end:
-                    seg_end = first + rtt
-            j1 = seg_end - start
-            # Queue every fresh NACK in the committed range, slot order:
-            # their due slots all lie at or beyond seg_end.
-            seg_nacks = 0
-            while e < n_err and (pos := err_pos[e]) < j1:
-                if uniform_tbs or not special[start + pos]:
-                    tbs = tbs_full
-                else:
-                    tbs = tbs_special
-                queue.push(start + pos + rtt, tbs, 1, float(p_err[pos]))
-                e += 1
-                seg_nacks += 1
-            nacks += seg_nacks
-            txmask[i:seg_end] = tx[i:seg_end]
-            cnt = int(cum[seg_end] - cum[i])
-            acks += cnt - seg_nacks
-            if cnt:
-                self._counts.append(cnt)
-                self._prb.append(pd.prb)
-                self._mcs.append(pd.mcs)
-                self._mod.append(pd.mod)
-                self._layers.append(pd.layers)
-                self._cqi.append(pd.cqi)
-                self._dci.append(pd.dci)
-                self._tbsf.append(tbs_full)
-                self._tbss.append(tbs_special)
-            i = seg_end
-        return acks, nacks
-
-    def flush(self, trace: SlotTrace) -> None:
-        """Materialize the accumulated fast-path slots into the trace."""
-        idx = np.flatnonzero(self._txmask)
-        if idx.size:
-            counts = np.asarray(self._counts)
-
-            def rep(values: list[int]) -> np.ndarray:
-                return np.repeat(np.asarray(values, dtype=np.int64), counts)
-
-            prb = rep(self._prb)
-            trace.fill(
-                idx, scheduled=True, n_prb=prb, n_re=prb * 12,
-                mcs_index=rep(self._mcs), modulation_order=rep(self._mod),
-                layers=rep(self._layers), cqi=rep(self._cqi),
-                dci_format=rep(self._dci),
-            )
-            tbs_vec = np.where(self._special[idx], rep(self._tbss), rep(self._tbsf))
-            ok = self._decoded[idx]
-            trace.tbs_bits[idx] = tbs_vec
-            trace.delivered_bits[idx] = np.where(ok, tbs_vec, 0)
-            trace.error[idx] = ~ok
-        if self._events:
-            (r_idx, r_tbs, r_ok, r_retx, r_prb, r_mcs, r_mod, r_layers,
-             r_cqi, r_dci) = zip(*self._events)
-            ridx = np.asarray(r_idx, dtype=np.intp)
-            rtbs = np.asarray(r_tbs, dtype=np.int64)
-            rok = np.asarray(r_ok, dtype=bool)
-            rprb = np.asarray(r_prb, dtype=np.int64)
-            trace.fill(
-                ridx, scheduled=True, n_prb=rprb, n_re=rprb * 12,
-                mcs_index=np.asarray(r_mcs, dtype=np.int64),
-                modulation_order=np.asarray(r_mod, dtype=np.int64),
-                layers=np.asarray(r_layers, dtype=np.int64),
-                cqi=np.asarray(r_cqi, dtype=np.int64),
-                dci_format=np.asarray(r_dci, dtype=np.int64),
-            )
-            trace.is_retx[ridx] = np.asarray(r_retx, dtype=bool)
-            trace.tbs_bits[ridx] = rtbs
-            trace.delivered_bits[ridx] = np.where(rok, rtbs, 0)
-            trace.error[ridx] = ~rok
-
-
-_SLOT_ENGINES = {
-    "reference": _ReferenceEngine,
-    "vectorized": _VectorizedEngine,
-}
-
-
 #: CQI periods per native-loop chunk.  The lazy error-probability rows
 #: span one chunk, so this bounds their scratch memory (at most one row
 #: per (family, MCS) pair, each ``chunk x period`` slots long) and sets
@@ -765,7 +503,7 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
     period's (family, MCS) row is not filled yet, the call returns the
     row's index with its state saved in ``state``; this function fills
     that row from the period's start to the chunk's end with the same
-    in-place ufunc sequence the Python engines run per period —
+    in-place ufunc sequence the reference loop runs per period —
     elementwise, so the values are bit-identical — and calls again.
     Later periods of the chunk with the same MCS read the filled row.
     """
@@ -926,15 +664,15 @@ def _simulate_direction(
     )
     period_prb = np.minimum(prb_quant, n_prb)
 
-    engine_name = resolve_engine()
-    if engine_name == "native":
+    if resolve_engine() == "native":
         _native_periods(_native.load_period_loop(), trace, cell, params,
                         max_layers, usable, special_mask, uniforms,
                         retx_uniforms, measured_all, cqi_all, period_prb,
                         eff_cap, tbs_cache)
         _forward_fill_cqi(trace)
         return trace
-    if engine_name == "vectorized" and pinned_engine() is None:
+    # The reference loop: pinned, or the kernel did not load.
+    if pinned_engine() is None:
         _native.count_fallback()  # unpinned, yet no kernel: never silent
 
     primary_mapper, fallback_mapper = _mappers(cell)
@@ -944,7 +682,6 @@ def _simulate_direction(
     current_rank = 1
     rank_sinr_ewma: float | None = None
     queue = _RetxQueue()
-    engine = _SLOT_ENGINES[engine_name](n_slots, usable, special_mask)
 
     pd = _Period()
     pd.params = params
@@ -1016,7 +753,7 @@ def _simulate_direction(
             tbs_memo[tkey] = tp
         dci_code = 0 if (use_fallback or not is_qam256) else 1
 
-        # --- vectorized per-slot outcome for the period ------------------------
+        # --- per-slot decode outcomes for the period ---------------------------
         sl = slice(start, stop)
         m = stop - start
         p_err = bler.error_probability_given_capacity(eff_mcs, eff_cap[sl],
@@ -1035,12 +772,15 @@ def _simulate_direction(
         pd.dci = dci_code
         pd.tbs_full, pd.tbs_special = tp
 
-        acks, nacks = engine.run_period(trace, queue, pd)
+        acks = nacks = 0
+        for i in range(start, stop):
+            a, n = _scalar_slot(trace, queue, pd, i)
+            acks += a
+            nacks += n
         if olla_enabled:
             delta = olla.delta + acks * olla_up - nacks * olla_down
             olla.delta = olla_lo if delta < olla_lo else olla_hi if delta > olla_hi else delta
 
-    engine.flush(trace)
     # Unscheduled slots still carry the CQI context for analysis: forward-fill.
     _forward_fill_cqi(trace)
     return trace

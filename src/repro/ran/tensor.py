@@ -142,13 +142,13 @@ _FAR = np.int64(1) << 60
 def _require_kernel():
     """The compiled retx kernel — the cohort engine's only path for
     dirty cells.  Raises when it cannot be loaded; the engine policy
-    routes such hosts to the per-session vectorized engine instead."""
+    routes such hosts to the per-session reference engine instead."""
     kernel = _native.load_kernel()
     if kernel is None:
         reason = _native.kernel_status()["error"] or "not loaded"
         raise RuntimeError(
             f"the cohort tensor engine needs the compiled retx kernel "
-            f"({reason}); run these sessions with REPRO_ENGINE=vectorized")
+            f"({reason}); run these sessions with REPRO_ENGINE=reference")
     return kernel
 
 

@@ -14,8 +14,7 @@ def _halve_rates(report: dict) -> dict:
     """``report`` on a machine half as fast: every timed row's rate halved."""
     slower = copy.deepcopy(report)
     for data in slower["workloads"].values():
-        for cell in (data, data.get("policy"), data.get("vectorized"),
-                     data.get("reference")):
+        for cell in (data, data.get("policy"), data.get("reference")):
             for key in ("sessions_per_s", "warm_slots_per_s"):
                 if cell and key in cell:
                     cell[key] /= 2.0
@@ -88,8 +87,7 @@ class _GateBehaviours:
         assert bench.regression_failures(current, base) == [self.missing_failure]
 
 
-def _report(single_vec=800_000.0, single_ref=600_000.0,
-            mmwave_vec=700_000.0, mmwave_ref=400_000.0,
+def _report(single_ref=600_000.0, mmwave_ref=400_000.0,
             single_policy=2_400_000.0, mmwave_policy=2_100_000.0) -> dict:
     def cell(warm):
         return {"cold_slots_per_s": warm / 2, "warm_slots_per_s": warm}
@@ -100,17 +98,13 @@ def _report(single_vec=800_000.0, single_ref=600_000.0,
         "quick": True,
         "workloads": {
             "single_ue": {"policy": cell(single_policy),
-                          "vectorized": cell(single_vec),
                           "reference": cell(single_ref), "n_slots": 4000},
             "mmwave": {"policy": cell(mmwave_policy),
-                       "vectorized": cell(mmwave_vec),
                        "reference": cell(mmwave_ref), "n_slots": 64000},
         },
         "speedup": {
-            "single_ue_vectorized_vs_reference": round(single_vec / single_ref, 2),
-            "single_ue_policy_vs_vectorized": round(single_policy / single_vec, 2),
-            "mmwave_vectorized_vs_reference": round(mmwave_vec / mmwave_ref, 2),
-            "mmwave_policy_vs_vectorized": round(mmwave_policy / mmwave_vec, 2),
+            "single_ue_policy_vs_reference": round(single_policy / single_ref, 2),
+            "mmwave_policy_vs_reference": round(mmwave_policy / mmwave_ref, 2),
         },
     }
 
@@ -125,39 +119,24 @@ class TestRegressionGate(_GateBehaviours):
         return _report()
 
     def gated_slowdown(self, base):
-        return _halved(base, "single_ue", "vectorized")
+        return _halved(base, "single_ue", "policy")
 
-    test_vectorized_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_policy_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
     test_missing_workload_fails = _GateBehaviours.missing_row_reports_cleanly
 
-    def test_vectorized_not_beating_reference_fails(self):
-        # The vectorized engine's warm floor is the reference engine's
-        # warm rate, in both modes.
-        for quick in (True, False):
-            report = _report(mmwave_vec=350_000.0, mmwave_ref=400_000.0)
-            report["quick"] = quick
-            failures = bench.regression_failures(report, report)
-            assert [f.split(":")[0] for f in failures] == [
-                "mmwave_vectorized_vs_reference"]
-
-    def test_vectorized_matching_reference_passes(self):
-        report = _report(single_vec=600_000.0, single_ref=600_000.0)
-        assert bench.regression_failures(report, report) == []
-
-    def test_policy_not_beating_vectorized_fails(self):
+    def test_policy_not_beating_reference_fails(self):
         # The engine policy (the native period loop) must beat the
-        # vectorized engine warm, in both modes.
+        # reference engine warm by 1.6x, in both modes.
         for quick in (True, False):
-            report = _report(single_policy=700_000.0)
+            report = _report(mmwave_policy=620_000.0, mmwave_ref=400_000.0)
             report["quick"] = quick
             failures = bench.regression_failures(report, report)
             assert [f.split(":")[0] for f in failures] == [
-                "single_ue_policy_vs_vectorized"]
+                "mmwave_policy_vs_reference"]
 
-    def test_policy_only_slowdown_fails(self):
-        base = _report()
-        failures = bench.regression_failures(_halved(base, "mmwave", "policy"), base)
-        assert [f.split(":")[0] for f in failures] == ["mmwave"]
+    def test_policy_at_floor_passes(self):
+        report = _report(single_policy=960_000.0, single_ref=600_000.0)
+        assert bench.regression_failures(report, report) == []
 
     def test_report_without_policy_column(self):
         # A host without the native kernel reports no policy column: its
@@ -166,7 +145,7 @@ class TestRegressionGate(_GateBehaviours):
         report = _report()
         for name in ("single_ue", "mmwave"):
             del report["workloads"][name]["policy"]
-            del report["speedup"][f"{name}_policy_vs_vectorized"]
+            del report["speedup"][f"{name}_policy_vs_reference"]
         assert bench.regression_failures(report, report) == []
         assert bench.regression_failures(report, _report()) == [
             "single_ue: missing from current report",
@@ -198,7 +177,7 @@ def _campaign_report(jobs1_cold=50.0, jobs1_warm=400.0, pipe=90.0,
         },
         "speedup": {
             "routed_cold_vs_pipe_cold": round(routed_cold / pipe, 2),
-            "warm_vs_pre_pr_pipe": round(routed_warm / pipe, 2),
+            "store_routed_warm_vs_pipe_cold": round(routed_warm / pipe, 2),
             "shm_cold_vs_jobs1_cold": round(shm_cold / jobs1_cold, 2),
             "shm_cold_vs_pipe_cold": round(shm_cold / pipe, 2),
         },
@@ -512,16 +491,20 @@ class TestTensorRegressionGate(_GateBehaviours):
         _GateBehaviours.missing_row_reports_cleanly
 
     def test_speedup_below_floor_fails_intra_report(self):
-        # 2.2x < the full-mode 2.5x floor even with itself as baseline.
-        report = _tensor_report(tensor_cold=330.0, quick=False)
+        # 3.0x < the full-mode 3.9x floor even with itself as baseline.
+        report = _tensor_report(tensor_cold=450.0, quick=False)
         failures = bench.regression_failures(report, report)
         assert any(f.startswith("tensor_cold_vs_session_cold:")
                    for f in failures)
 
     def test_quick_reports_get_floor_slack(self):
-        # The same 2.2x passes in quick mode (floor 2.0x).
-        report = _tensor_report(tensor_cold=330.0, quick=True)
+        # The same 3.0x passes in quick mode (floor 2.85x), and 2.7x
+        # does not.
+        report = _tensor_report(tensor_cold=450.0, quick=True)
         assert bench.regression_failures(report, report) == []
+        report = _tensor_report(tensor_cold=405.0, quick=True)
+        assert [f.split(":")[0] for f in bench.regression_failures(
+            report, report)] == ["tensor_cold_vs_session_cold"]
 
     def test_no_cohorts_run_fails(self):
         # A policy regression degrading every cohort to the per-session
@@ -607,4 +590,4 @@ class TestRender:
                             "repetitions": 11, "seed": 2024}
         text = bench.render(report)
         assert "single_ue" in text and "mmwave" in text
-        assert "vectorized" in text and "reference" in text
+        assert "policy" in text and "reference" in text

@@ -38,7 +38,7 @@ def _slot_report():
     return {
         "bench": "slot_engine", "schema": 1, "quick": False,
         "workloads": {
-            "single_ue": {"vectorized": cell(800_000.0),
+            "single_ue": {"policy": cell(800_000.0),
                           "reference": cell(600_000.0), "n_slots": 10000},
         },
     }
@@ -56,7 +56,7 @@ class TestHistoryReport:
         assert kinds["campaign"]["throughput"]["shm_cold"] == 50.0
         # Slot rows are nested per engine; each engine's warm rate folds.
         assert kinds["slot_engine"]["throughput"] == {
-            "single_ue/vectorized": 800_000.0,
+            "single_ue/policy": 800_000.0,
             "single_ue/reference": 600_000.0}
         assert kinds["campaign"]["speedup"]["shm_cold_vs_jobs1_cold"] == 1.25
         assert kinds["tensor"]["flush_share"] == 0.15

@@ -95,10 +95,10 @@ class TestCampaignByteIdentity:
     @pytest.fixture(scope="class")
     def per_session_baseline(self):
         manifest = _campaign()
-        # REPRO_ENGINE pins every session to the per-session vectorized
+        # REPRO_ENGINE pins every session to the per-session reference
         # engine regardless of cohort grouping.
         import os
-        os.environ["REPRO_ENGINE"] = "vectorized"
+        os.environ["REPRO_ENGINE"] = "reference"
         try:
             return _bytes_list(run_tasks(manifest, jobs=1))
         finally:
@@ -123,7 +123,7 @@ class TestCampaignByteIdentity:
         per-session fold (sketches compare by identity, so the store
         codec payload is the equality oracle)."""
         manifest = _campaign()
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
         exact = run_tasks(manifest, jobs=1, reduce=campaign_reduction())
         monkeypatch.delenv("REPRO_ENGINE")
         cohort = run_tasks(manifest, jobs=1, reduce=campaign_reduction())

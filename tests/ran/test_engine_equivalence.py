@@ -1,8 +1,8 @@
 """Byte-identity of the per-session slot engines against the scalar oracle.
 
 A lone session runs the compiled native period loop when the engine
-switch is unset (the vectorized engine without the native kernel); the
-scalar reference engine (``REPRO_ENGINE=reference``) is kept as the
+switch is unset; the scalar reference engine (``REPRO_ENGINE=reference``,
+and the path of every session without the native kernel) is kept as the
 correctness oracle.  The contract is not "statistically close" but
 *byte-identical npz traces*: every engine must consume the RNG in the
 same order and produce the same doubles, so every config knob that
@@ -64,11 +64,11 @@ def _run_single(monkeypatch, simulate, cell: CellConfig, mean_sinr_db: float,
 
 
 SINGLE_UE_CASES = {
-    # High SINR: long no-retx segments, the fast path's best case.
+    # High SINR: long no-retx segments.
     "tdd-256qam-good": (_tdd_cell(Modulation.QAM256), 22.0, {}),
     # Mid SINR: OLLA converges to ~10% BLER, fragmented segments.
     "tdd-256qam-mid": (_tdd_cell(Modulation.QAM256), 12.0, {}),
-    # Poor SINR: retx windows dominate, mostly the scalar fallback.
+    # Poor SINR: retx windows dominate.
     "tdd-256qam-poor": (_tdd_cell(Modulation.QAM256), 2.0, {}),
     "tdd-64qam": (_tdd_cell(Modulation.QAM64, bandwidth_mhz=60), 15.0, {}),
     "fdd-256qam": (_fdd_cell(), 18.0, {}),
@@ -81,22 +81,19 @@ SINGLE_UE_CASES = {
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_single_ue_downlink_byte_identical(monkeypatch, case: str, seed: int):
     cell, mean_sinr_db, params = SINGLE_UE_CASES[case]
-    vec = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, seed,
-                      "vectorized", **params)
     ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, seed,
                       "reference", **params)
-    assert vec == ref
-    native = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+    policy = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
                          seed, "", **params)
-    assert native == ref
+    assert policy == ref
 
 
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_uplink_byte_identical(monkeypatch, seed: int):
     cell = _tdd_cell(Modulation.QAM256)
-    vec = _run_single(monkeypatch, simulate_uplink, cell, 16.0, seed, "vectorized")
+    policy = _run_single(monkeypatch, simulate_uplink, cell, 16.0, seed, "")
     ref = _run_single(monkeypatch, simulate_uplink, cell, 16.0, seed, "reference")
-    assert vec == ref
+    assert policy == ref
 
 
 def test_randomized_configs_byte_identical(monkeypatch):
@@ -111,11 +108,11 @@ def test_randomized_configs_byte_identical(monkeypatch):
         seed = int(meta_rng.integers(1, 2**31))
         params = {"olla_enabled": bool(meta_rng.integers(2)),
                   "cqi_noise_db": float(meta_rng.uniform(0.0, 1.5))}
-        vec = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
-                          seed, "vectorized", **params)
+        policy = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                             seed, "", **params)
         ref = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
                           seed, "reference", **params)
-        assert vec == ref, (tdd, mean_sinr_db, seed, params)
+        assert policy == ref, (tdd, mean_sinr_db, seed, params)
 
 
 # ---------------------------------------------------------------------- #
@@ -144,27 +141,27 @@ def _profile_session(profile, direction: str, seed: int, olla_enabled: bool):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_engines_byte_identical_property(monkeypatch, profile_key, direction,
                                          sinr_offset_db, olla_enabled, seed):
-    """Policy (the native loop), vectorized and reference traces of one
-    session are byte-identical for any operator profile, direction, SINR
-    regime, OLLA setting and seed."""
+    """Policy (the native loop) and reference traces of one session are
+    byte-identical for any operator profile, direction, SINR regime,
+    OLLA setting and seed."""
     base = ALL_PROFILES[profile_key]
     profile = replace(base, mean_sinr_db=base.mean_sinr_db + sinr_offset_db)
     traces = {}
-    for engine in ("", "vectorized", "reference"):  # "": the policy
+    for engine in ("", "reference"):  # "": the policy
         monkeypatch.setenv(ENGINE_ENV, engine)
         traces[engine] = _trace_bytes(
             _profile_session(profile, direction, seed, olla_enabled))
-    assert traces[""] == traces["vectorized"] == traces["reference"]
+    assert traces[""] == traces["reference"]
 
 
 def test_policy_runs_the_native_loop_when_the_kernel_loads(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
-    expected = "vectorized" if _native.load_kernel() is None else "native"
+    expected = "reference" if _native.load_kernel() is None else "native"
     assert resolve_engine() == expected
 
 
-def test_no_kernel_falls_back_to_vectorized(monkeypatch):
-    """Without the native kernel a lone session runs the vectorized
+def test_no_kernel_falls_back_to_reference(monkeypatch):
+    """Without the native kernel a lone session runs the reference
     engine, with the same bytes, and ``kernel_status`` says why and
     counts it."""
     cell, mean_sinr_db, params = SINGLE_UE_CASES["tdd-256qam-mid"]
@@ -175,7 +172,7 @@ def test_no_kernel_falls_back_to_vectorized(monkeypatch):
                          "error": "RuntimeError: no C compiler on PATH",
                          "fallback_sessions": 0})
     monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine() == "vectorized"
+    assert resolve_engine() == "reference"
     assert _native.load_period_loop() is None
     status = _native.kernel_status()
     assert status["available"] is False
@@ -186,7 +183,7 @@ def test_no_kernel_falls_back_to_vectorized(monkeypatch):
     assert _native.kernel_status()["fallback_sessions"] == 1
     # A pinned run is not a fallback.
     _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db, 7,
-                "vectorized", **params)
+                "reference", **params)
     assert _native.kernel_status()["fallback_sessions"] == 1
 
 
@@ -195,7 +192,7 @@ def test_no_kernel_falls_back_to_vectorized(monkeypatch):
 # ---------------------------------------------------------------------- #
 # The native loop reads the logistic error probability from rows that
 # numpy fills over a whole chunk of periods (``exp`` must be numpy's).
-# That is only byte-identical to the Python engines' per-period
+# That is only byte-identical to the reference engine's per-period
 # evaluation because the ufunc sequence is elementwise: these tests pin
 # it.
 

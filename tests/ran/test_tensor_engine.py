@@ -127,17 +127,6 @@ def test_uplink_cohort_byte_identical(monkeypatch, seed0: int):
 
 
 @requires_kernel
-def test_cohort_matches_vectorized_engine_too(monkeypatch):
-    cell, sinr, params = CASES["tdd-256qam-mid"]
-    seeds = [90, 91, 92]
-    vec = [_single_bytes(monkeypatch, simulate_downlink, cell, sinr, s,
-                         "vectorized", **params) for s in seeds]
-    cohort = _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
-                           **params)
-    assert cohort == vec
-
-
-@requires_kernel
 def test_divergent_retx_fallback_mixed_columns(monkeypatch):
     """Adversarial cohort: some columns never fail, others retransmit.
 
@@ -218,12 +207,13 @@ def test_high_bler_cohort_byte_identical(monkeypatch):
     assert stats["batched_periods"] > 0
 
 
-def test_no_kernel_falls_back_to_vectorized(monkeypatch):
+def test_no_kernel_falls_back_to_reference(monkeypatch):
     """Hosts without the compiled retx kernel never run the tensor pass.
 
-    The engine policy resolves cohorts to the per-session vectorized
-    engine — same bytes, no tensor cohorts — and a direct cohort call
-    fails loudly instead of running a slower tier.
+    The engine policy resolves cohorts to the per-session reference
+    engine — same bytes, no tensor cohorts, every session counted as a
+    fallback — and a direct cohort call fails loudly instead of running
+    a slower tier.
     """
     from repro.core.runner import run_tasks
     from repro.operators.profiles import EU_PROFILES
@@ -231,17 +221,25 @@ def test_no_kernel_falls_back_to_vectorized(monkeypatch):
 
     spec = CampaignSpec(minutes_per_operator=0.1, session_s=1.0, seed=11)
     manifest = campaign_manifest({"V_Sp": EU_PROFILES["V_Sp"]}, spec)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     tensor.reset_cohort_stats()
     with_kernel = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
     if _native.load_kernel() is not None:
         assert tensor.cohort_stats()["cohorts"] > 0
 
     monkeypatch.setattr(_native, "load_kernel", lambda: None)
-    assert resolve_engine(64) == "vectorized"
+    assert resolve_engine(64) == "reference"
     tensor.reset_cohort_stats()
+    fallbacks = _native.kernel_status()["fallback_sessions"]
     without = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
     assert without == with_kernel
     assert tensor.cohort_stats()["cohorts"] == 0
+    fallbacks += len(manifest)
+    assert _native.kernel_status()["fallback_sessions"] == fallbacks
+    # A pinned run is not a fallback.
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    assert [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)] == with_kernel
+    assert _native.kernel_status()["fallback_sessions"] == fallbacks
 
     cell, sinr, _ = CASES["tdd-256qam-good"]
     ch1, rng1 = _channel_and_rng(sinr, 1, cell)
@@ -280,7 +278,7 @@ class TestEnginePolicy:
     @pytest.fixture(autouse=True)
     def kernel_loaded(self, monkeypatch):
         # The policy on a host where the retx kernel loads; the no-kernel
-        # column is test_no_kernel_falls_back_to_vectorized.
+        # column is test_no_kernel_falls_back_to_reference.
         monkeypatch.setattr(_native, "load_kernel", lambda: object())
 
     def test_decision_table(self, monkeypatch):
@@ -288,24 +286,22 @@ class TestEnginePolicy:
         assert resolve_engine(1) == "native"
         assert resolve_engine(2) == "tensor"
         assert resolve_engine(32) == "tensor"
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        assert resolve_engine(1) == "vectorized"
-        assert resolve_engine(32) == "vectorized"
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         assert resolve_engine(1) == "reference"
         assert resolve_engine(32) == "reference"
 
     def test_invalid_engine(self, monkeypatch):
-        # "tensor" and "auto" name the policy, not an engine to pin.
-        for value in ("warp", "tensor", "auto"):
+        # "tensor" and "auto" name the policy, not an engine to pin;
+        # "vectorized" names a deleted engine.
+        for value in ("warp", "tensor", "auto", "vectorized"):
             monkeypatch.setenv("REPRO_ENGINE", value)
             with pytest.raises(ValueError, match="REPRO_ENGINE"):
                 resolve_engine(1)
 
     def test_env_override(self, monkeypatch):
         # The switch pins cohorts to the per-session engine too.
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        assert resolve_engine(64) == "vectorized"
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert resolve_engine(64) == "reference"
         # An empty value means unset: the policy applies.
         monkeypatch.setenv("REPRO_ENGINE", "")
         assert resolve_engine(64) == "tensor"

@@ -281,13 +281,23 @@ class TestEngineEnv:
     ], ids=["run", "campaign", "bench"])
     @pytest.mark.parametrize("value", ["warp", "tensor", "auto"])
     def test_invalid_engine_env_rejected(self, capsys, monkeypatch, argv, value):
-        # Only the two per-session engines can be pinned; "tensor" and
-        # "auto" name the policy, which an unset variable already means.
+        # Only the reference engine can be pinned; "tensor" and "auto"
+        # name the policy, which an unset variable already means.
         monkeypatch.setenv("REPRO_ENGINE", value)
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("$REPRO_ENGINE must be one of ('vectorized', "
-                                f"'reference'), got {value!r}\n")
+        assert captured.err == ("$REPRO_ENGINE must be unset or 'reference', "
+                                f"got {value!r}\n")
+        assert captured.out == ""
+
+    def test_deleted_vectorized_engine_rejected(self, capsys, monkeypatch):
+        # The segment-batched engine is gone; pinning it is one error
+        # line before fig07 starts.
+        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        assert main(["run", "fig07"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("$REPRO_ENGINE must be unset or 'reference', "
+                                "got 'vectorized'\n")
         assert captured.out == ""
 
     def test_pinned_engine_runs(self, capsys, monkeypatch):
