@@ -121,8 +121,14 @@ class TestRegressionGate(_GateBehaviours):
     def gated_slowdown(self, base):
         return _halved(base, "single_ue", "policy")
 
-    test_policy_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
+    test_single_ue_policy_slowdown_fails = \
+        _GateBehaviours.gated_only_slowdown_fails
     test_missing_workload_fails = _GateBehaviours.missing_row_reports_cleanly
+
+    def test_policy_only_slowdown_fails(self):
+        base = _report()
+        failures = bench.regression_failures(_halved(base, "mmwave", "policy"), base)
+        assert [f.split(":")[0] for f in failures] == ["mmwave"]
 
     def test_policy_not_beating_reference_fails(self):
         # The engine policy (the native period loop) must beat the
