@@ -313,8 +313,8 @@ def _measure_slot(quick: bool, seed: int, jobs: int | str) -> tuple[dict, dict, 
     from repro.ran._native import kernel_status, load_kernel
 
     duration_s = 2.0 if quick else 5.0
-    repetitions = 3 if quick else 7
-    min_slots = 40_000 if quick else 150_000
+    repetitions = 6 if quick else 7
+    min_slots = 120_000 if quick else 150_000
     _warm_process(seed)
     engines = {label: engine for label, engine in _SLOT_COLUMNS.items()
                if engine is not None or load_kernel() is not None}

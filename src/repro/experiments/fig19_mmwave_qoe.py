@@ -57,8 +57,10 @@ def run(seed: int = 2024, quick: bool = True) -> ExperimentResult:
     video_b = Video(duration_s=duration - 5.0, chunk_s=chunk_s, ladder=PAPER_LADDER_MMWAVE)
     rows.append("-- set (b): scaled-up ladder, mmWave only --")
     for scenario_name in ("walking", "driving"):
-        result = _mmwave_run(duration, SCENARIOS[scenario_name], seed + 3)
-        outcome = _stream(result, video_b)
+        # Straight into _stream: a bound result would keep one run's
+        # four-carrier traces alive while the next one simulates.
+        outcome = _stream(_mmwave_run(duration, SCENARIOS[scenario_name], seed + 3),
+                          video_b)
         fraction = outcome["delivered_mbps"] / max(outcome["tput_mbps"], 1e-9)
         outcome["bitrate_tput_fraction"] = fraction
         data["set_b"][scenario_name] = outcome

@@ -146,8 +146,8 @@ def load_period_loop():
     ``loop(ctypes.byref(state), chunk_lo, chunk_hi)`` runs periods
     ``[state.p, chunk_hi)`` and returns :data:`CHUNK_DONE`,
     :data:`NEED_ROOM` (widen the HARQ lane, call again) or the index of
-    an error-probability row the next period needs (fill it over the
-    chunk, set ``ready``, call again).
+    an error-probability row the next period needs (fill a buffer over
+    the chunk, point ``row_ptr[row]`` at it, call again).
     """
     if load_kernel() is None:
         return None
@@ -181,9 +181,7 @@ class SessionLoop(ctypes.Structure):
         ("olla_up olla_down olla_lo olla_hi", _f64),
         ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64),
         ("scale", _f64),
-        ("rows", _ptr),
-        ("row_stride", _i64),
-        ("ready", _ptr),
+        ("row_ptr", _ptr),
         ("cap", _i64),
         ("due tbs att ph", _ptr),
         ("pending", _i64),

@@ -246,7 +246,9 @@ int64_t repro_retx_period(
 /* Single-session period loop.
  *
  * Field order and types must match `_native.SessionLoop` (int64,
- * double and pointers only, so the layout has no padding). */
+ * double and pointers only, so the layout has no padding).  The
+ * pointed-to element types are checked per argument by
+ * `_native_periods` in simulator.py. */
 typedef struct {
     /* shape */
     int64_t n_slots, period;
@@ -275,10 +277,9 @@ typedef struct {
     int64_t is_qam256, dci_fallback_cqi, rtt, max_attempts;
     double scale;
     /* lazy error-probability rows of the current chunk: row
-     * fb * n_mcs + mcs at rows + row * row_stride, valid where ready */
-    double *rows;
-    int64_t row_stride;
-    uint8_t *ready;
+     * fb * n_mcs + mcs starts at row_ptr[row] (indexed by slot minus
+     * the chunk's first slot), NULL until the caller fills it */
+    const double *const *row_ptr;
     /* HARQ lane (capacity cap, pending entries) */
     int64_t cap;
     int64_t *due, *tbs, *att;
@@ -291,10 +292,14 @@ typedef struct {
     int64_t *seg_col, *seg_lo, *seg_hi;
     int64_t *ev_col, *ev_slot, *ev_tbs;
     uint8_t *ev_ok, *ev_retx;
-    /* trace columns (n_slots), written in place */
+    /* trace columns (n_slots), written in place at the schema dtypes
+     * of `COLUMN_DTYPES` in xcal/records.py (bool is one byte) */
     uint8_t *t_scheduled, *t_is_retx, *t_error;
-    int64_t *t_n_prb, *t_n_re, *t_mcs, *t_mod, *t_layers, *t_tbs;
-    int64_t *t_delivered, *t_cqi, *t_dci;
+    int16_t *t_n_prb;
+    int32_t *t_n_re;
+    int8_t *t_mcs, *t_mod, *t_layers;
+    int32_t *t_tbs, *t_delivered;
+    int8_t *t_cqi, *t_dci;
     /* resumable loop state */
     int64_t p, rank, have_ewma;
     double ewma, delta;
@@ -310,25 +315,25 @@ static inline void write_slot(session_t *s, int64_t i, int64_t prb,
 {
     s->t_scheduled[i] = 1;
     s->t_is_retx[i] = is_retx;
-    s->t_n_prb[i] = prb;
-    s->t_n_re[i] = prb * 12;
-    s->t_mcs[i] = mcs;
-    s->t_mod[i] = mod;
-    s->t_layers[i] = layers;
-    s->t_tbs[i] = tbs;
-    s->t_cqi[i] = cqi;
-    s->t_dci[i] = dci;
-    s->t_delivered[i] = ok ? tbs : 0;
+    s->t_n_prb[i] = (int16_t)prb;
+    s->t_n_re[i] = (int32_t)(prb * 12);
+    s->t_mcs[i] = (int8_t)mcs;
+    s->t_mod[i] = (int8_t)mod;
+    s->t_layers[i] = (int8_t)layers;
+    s->t_tbs[i] = (int32_t)tbs;
+    s->t_cqi[i] = (int8_t)cqi;
+    s->t_dci[i] = (int8_t)dci;
+    s->t_delivered[i] = ok ? (int32_t)tbs : 0;
     s->t_error[i] = !ok;
 }
 
 /* Run periods [s->p, chunk_hi) of the chunk starting at period
  * chunk_lo.  Returns CHUNK_DONE when the chunk is finished; a row
  * index >= 0 when the next period needs error-probability row `row`
- * and s->ready[row] is unset (the caller fills rows[row] over the
- * chunk's slots with numpy, sets ready, and calls again); NEED_ROOM
- * when the lane needs more than s->cap entries (the caller widens the
- * lane and calls again).  Either early return happens before the
+ * and s->row_ptr[row] is NULL (the caller fills a row buffer over the
+ * chunk's slots with numpy, points row_ptr[row] at it, and calls
+ * again); NEED_ROOM when the lane needs more than s->cap entries (the
+ * caller widens the lane and calls again).  Either early return happens before the
  * period changes any state, so the next call resumes exactly there. */
 int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
 {
@@ -363,7 +368,8 @@ int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
         int64_t offset = s->olla_enabled ? (int64_t)rint(s->delta) : 0;
         int64_t mcs = s->mcs_lut[(fb * 16 + cqi) * s->n_off + offset - s->off_lo];
         int64_t row = fb * s->n_mcs + mcs;
-        if (!s->ready[row]) {
+        const double *row_p = s->row_ptr[row];
+        if (!row_p) {
             s->p = p;
             return row;
         }
@@ -379,7 +385,7 @@ int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
         int64_t dci = (fb || !s->is_qam256) ? 0 : 1;
 
         /* --- decode outcomes and transmit pattern ------------------- */
-        const double *pe = s->rows + row * s->row_stride + (start - row_base);
+        const double *pe = row_p + (start - row_base);
         const double *u = s->uniforms + start;
         s->cum[0] = 0;
         for (int64_t j = 0; j < m; j++) {

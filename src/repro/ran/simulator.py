@@ -57,7 +57,7 @@ from repro.ran.amc import BlerModel, Olla, RankAdapter
 from repro.ran import _native
 from repro.ran.config import CellConfig, pinned_engine, resolve_engine
 from repro.ran.scheduler import Scheduler, SchedulingRequest
-from repro.xcal.records import SlotTrace, TraceMetadata
+from repro.xcal.records import COLUMN_DTYPES, SlotTrace, TraceMetadata
 
 #: Slot-type codes used in traces (match ``TddPattern.type_array``).
 SLOT_DL, SLOT_UL, SLOT_SPECIAL = 0, 1, 2
@@ -477,14 +477,49 @@ def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tu
 
 
 #: CQI periods per native-loop chunk.  The lazy error-probability rows
-#: span one chunk, so this bounds their scratch memory (at most one row
-#: per (family, MCS) pair, each ``chunk x period`` slots long) and sets
-#: the trade between round trips to numpy and slots evaluated but
-#: never read.
+#: span one chunk, so this bounds their scratch memory (one row per
+#: (family, MCS) pair the chunk reads, each ``chunk x period`` slots)
+#: and sets the trade between round trips to numpy and slots evaluated
+#: but never read.
 _CHUNK_PERIODS = 256
 
-#: Element types the native loop's rows may have (``bool`` is uint8).
-_C_DTYPES = tuple(np.dtype(t) for t in (np.int64, np.float64, np.uint8, np.bool_))
+#: The native loop's trace outputs: argument name -> trace column.
+_C_TRACE_ROWS = {
+    "t_scheduled": "scheduled", "t_is_retx": "is_retx", "t_error": "error",
+    "t_n_prb": "n_prb", "t_n_re": "n_re", "t_mcs": "mcs_index",
+    "t_mod": "modulation_order", "t_layers": "layers", "t_tbs": "tbs_bits",
+    "t_delivered": "delivered_bits", "t_cqi": "cqi", "t_dci": "dci_format",
+}
+
+#: The element type ``session_t`` in ``_retx_kernel.c`` declares for
+#: each row the native loop reads or writes, by argument name; a trace
+#: row takes its column's schema dtype (``bool`` is one byte).
+_C_ROW_DTYPES: dict[str, np.dtype] = {
+    **dict.fromkeys(("measured", "uniforms", "retx_uniforms", "rank_up",
+                     "rank_keep"), np.dtype(np.float64)),
+    **dict.fromkeys(("cqi", "prb", "grant", "mcs_lut", "mod_lut", "tbs_full",
+                     "tbs_special", "cum", "seg_col", "seg_lo", "seg_hi",
+                     "ev_col", "ev_slot", "ev_tbs"), np.dtype(np.int64)),
+    **dict.fromkeys(("usable", "special", "dec", "fm", "tx",
+                     "ev_ok", "ev_retx"), np.dtype(np.uint8)),
+    "row_ptr": np.dtype(np.uintp),
+    **{arg: COLUMN_DTYPES[column] for arg, column in _C_TRACE_ROWS.items()},
+}
+
+
+def _check_native_rows(arrays: dict[str, np.ndarray], n_slots: int) -> None:
+    """Raise ``TypeError`` unless every row is contiguous at exactly the
+    element type the C struct declares for it, and every trace row
+    holds ``n_slots`` elements: the loop trusts both, so a mismatch
+    would read or write past the array."""
+    for name, array in arrays.items():
+        expected = _C_ROW_DTYPES[name]
+        if array.dtype != expected or not array.flags.c_contiguous:
+            raise TypeError(f"native loop input {name!r} must be a contiguous "
+                            f"{expected} row, got {array.dtype}")
+        if name in _C_TRACE_ROWS and array.size != n_slots:
+            raise TypeError(f"native loop output {name!r} holds {array.size} "
+                            f"slots, the session has {n_slots}")
 
 
 def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
@@ -524,8 +559,11 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
 
     chunk_slots = min(_CHUNK_PERIODS, n_periods) * period
     eff_rows = eff_lut.ravel()
-    rows = np.empty((eff_rows.size, chunk_slots))
-    ready = np.zeros(eff_rows.size, dtype=np.uint8)
+    # A chunk reads about 16 of the 2 x n_mcs rows (31 at most in the
+    # full-mode experiments), so each row it reads gets its own buffer,
+    # reused by later chunks, instead of one block for every row.
+    row_ptr = np.zeros(eff_rows.size, dtype=np.uintp)
+    row_buffers: list[np.ndarray] = []
     cap = 4 * (period + params.harq_rtt_slots)
     lane = [np.empty(cap, dtype=np.int64) for _ in range(3)] + [np.empty(cap)]
     scratch_u8 = np.empty((3, period), dtype=np.uint8)
@@ -541,24 +579,15 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         "mcs_lut": mcs_lut, "mod_lut": mod_lut,
         "tbs_full": tbs_full, "tbs_special": tbs_special,
         "rank_up": rank_up, "rank_keep": rank_keep,
-        "rows": rows, "ready": ready,
+        "row_ptr": row_ptr,
         "dec": scratch_u8[0], "fm": scratch_u8[1], "tx": scratch_u8[2],
         "cum": scratch_i64[0], "seg_col": scratch_i64[1],
         "seg_lo": scratch_i64[2], "seg_hi": scratch_i64[3],
         "ev_col": scratch_i64[4], "ev_slot": scratch_i64[5],
         "ev_tbs": scratch_i64[6], "ev_ok": scratch_ev[0], "ev_retx": scratch_ev[1],
-        "t_scheduled": trace.scheduled, "t_is_retx": trace.is_retx,
-        "t_error": trace.error, "t_n_prb": trace.n_prb, "t_n_re": trace.n_re,
-        "t_mcs": trace.mcs_index, "t_mod": trace.modulation_order,
-        "t_layers": trace.layers, "t_tbs": trace.tbs_bits,
-        "t_delivered": trace.delivered_bits, "t_cqi": trace.cqi,
-        "t_dci": trace.dci_format,
+        **{arg: trace.column(column) for arg, column in _C_TRACE_ROWS.items()},
     }
-    # The C loop reads every row as contiguous int64, double or uint8.
-    for name, array in arrays.items():
-        if not (array.flags.c_contiguous and array.dtype in _C_DTYPES):
-            raise TypeError(f"native loop input {name!r} is not a contiguous "
-                            f"int64/float64/uint8 row: {array.dtype}")
+    _check_native_rows(arrays, n_slots)
     state = _native.SessionLoop(
         n_slots=n_slots, period=period,
         n_off=mcs_lut.shape[2], off_lo=_OFF_LO, n_mcs=n_max,
@@ -570,7 +599,7 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         olla_hi=olla.max_offset, is_qam256=is_qam256,
         dci_fallback_cqi=params.dci_fallback_cqi, rtt=params.harq_rtt_slots,
         max_attempts=params.max_attempts, scale=params.retx_error_scale,
-        row_stride=chunk_slots, pending=0, p=0, rank=1, have_ewma=0,
+        pending=0, p=0, rank=1, have_ewma=0,
         ewma=0.0, delta=olla.delta,
         **{name: array.ctypes.data for name, array in arrays.items()},
     )
@@ -586,7 +615,8 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         hi_p = min(n_periods, lo_p + _CHUNK_PERIODS)
         lo, hi = lo_p * period, min(n_slots, hi_p * period)
         chunk_cap = eff_cap[lo:hi]
-        ready[:] = 0
+        row_ptr[:] = 0
+        n_filled = 0
         while (need := loop(ref, lo_p, hi_p)) != _native.CHUNK_DONE:
             if need == _native.NEED_ROOM:
                 pending = state.pending
@@ -595,10 +625,14 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
                 bind_lane()
             else:
                 # Periods before state.p never read this row again.
+                if n_filled == len(row_buffers):
+                    row_buffers.append(np.empty(chunk_slots))
+                row = row_buffers[n_filled]
+                n_filled += 1
                 at = state.p * period - lo
                 error_probability(eff_rows[need], chunk_cap[at:],
-                                  out=rows[need, at:hi - lo])
-                ready[need] = 1
+                                  out=row[at:hi - lo])
+                row_ptr[need] = row.ctypes.data
 
 
 def _simulate_direction(

@@ -388,31 +388,28 @@ def _simulate_direction_cohort(
     retx2 = np.empty((n_cols, n_slots))
     noise2 = np.empty((n_cols, n_periods_total))
     bg_raw2 = np.empty((n_cols, n_periods_total))
-    # With an arena, the channel-state columns are written straight
-    # into their final 2-D blocks (the stacked SINR tensor *is* the
-    # arena's sinr_db column) — the flush never touches them again.
-    if arena is not None:
-        sinr2 = arena.columns["sinr_db"]
-        rsrp_rows = arena.columns["rsrp_dbm"]
-        rsrq_rows = arena.columns["rsrq_db"]
-    else:
-        sinr2 = np.empty((n_cols, n_slots))
-        rsrp_rows = rsrq_rows = None
+    # The sustainable efficiency and the measured SINR are evaluated row
+    # by row on each channel's own 1-D SINR series, exactly as the
+    # per-session path does, so they need no (n_cols, n_slots)
+    # temporaries.  With an arena, the channel-state columns are written
+    # straight into their final 2-D blocks — the flush never touches
+    # them again.
+    eff_cap2 = np.empty((n_cols, n_slots))
+    meas2 = np.empty((n_cols, n_periods))
     meas_idx = np.maximum(starts - params.cqi_delay_slots, 0)
     for c, rng in enumerate(rngs):
         uniforms2[c] = rng.random(n_slots)
         retx2[c] = rng.random(n_slots)
         noise2[c] = rng.standard_normal(n_periods_total)
         bg_raw2[c] = rng.standard_normal(n_periods_total)
-        sinr2[c] = channels[c].sinr_db
-        if rsrp_rows is not None:
-            rsrp_rows[c] = channels[c].rsrp_dbm
-            rsrq_rows[c] = channels[c].rsrq_db
-    # The measurement chain is elementwise (shannon/searchsorted/rint
-    # chains), so one 2-D evaluation produces the exact per-column
-    # values the per-session path computes on 1-D arrays.
-    eff_cap2 = bler.capacity(sinr2)
-    meas2 = sinr2[:, meas_idx] + params.cqi_noise_db * noise2[:, :n_periods]
+        sinr = channels[c].sinr_db
+        if arena is not None:
+            arena.columns["sinr_db"][c] = sinr
+            arena.columns["rsrp_dbm"][c] = channels[c].rsrp_dbm
+            arena.columns["rsrq_db"][c] = channels[c].rsrq_db
+        eff_cap2[c] = bler.capacity(sinr)
+        meas2[c] = sinr[meas_idx]
+    meas2 += params.cqi_noise_db * noise2[:, :n_periods]
     cqi2 = np.minimum(
         sinr_to_cqi(meas2, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX)
     background2 = np.clip(
@@ -579,6 +576,10 @@ def _simulate_direction_cohort(
             np.minimum(delta, olla_hi, out=delta)
 
     t_end = time.perf_counter()
+    # The flush reads none of the per-slot draws or efficiencies: free
+    # them before it allocates (with the retx draws below, they are
+    # most of the pass's working set).
+    del uniforms2, eff_cap2
     _COUNTERS["cohorts"] += 1
     _COUNTERS["columns"] += n_cols
     _COUNTERS["cells"] += n_cols * n_periods
@@ -607,6 +608,8 @@ def _simulate_direction_cohort(
     t_lanes = time.perf_counter()
     inseg2 = lanes.committed_mask()
     events = lanes.events_by_column()
+    # The flush reads no lane state or retx draws either.
+    del lanes, retx2
     tf = time.perf_counter()
     _COUNTERS["batched_s"] += tf - t_lanes
     if arena is not None:

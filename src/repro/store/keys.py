@@ -50,8 +50,9 @@ __all__ = [
 #: contract change).  v2: the slot engines evaluate the BLER logistic on
 #: whole CQI periods, so decode outcomes ride the platform's *vectorized*
 #: ``exp`` — bit-identical to the scalar path everywhere we have checked,
-#: but not something v1 entries were ever promised.
-STORE_SCHEMA_VERSION = 2
+#: but not something v1 entries were ever promised.  v3: trace columns
+#: are stored at the narrow dtypes of ``repro.xcal.records.COLUMN_DTYPES``.
+STORE_SCHEMA_VERSION = 3
 
 #: Refuse to fingerprint arrays above this size: a huge array in task
 #: kwargs signals the task is not manifest-shaped, and hashing it would

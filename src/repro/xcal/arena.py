@@ -8,9 +8,10 @@ that dominated cohort wall time.  A :class:`CohortArena` removes it:
 
 - Every trace column of every session lives in **one contiguous
   buffer**, laid out as an ``(n_cols, n_slots)`` 2-D block per column
-  in :data:`~repro.xcal.records.TRACE_COLUMNS` order, with the exact
-  dtypes :meth:`SlotTrace.empty` allocates (int64 / bool / float64) so
-  a row serializes byte-identically to a standalone trace.
+  in :data:`~repro.xcal.records.TRACE_COLUMNS` order, with the
+  schema dtypes of :data:`~repro.xcal.records.COLUMN_DTYPES` (int8 to
+  int32, bool, float64) so a row serializes byte-identically to a
+  standalone trace.
 - The engine writes its per-period constants with **cohort-wide 2-D
   masked writes** instead of per-column loops; per-session traces are
   then just row views (:meth:`trace`) — no copies, no re-expansion.
@@ -38,20 +39,19 @@ from typing import Mapping
 import numpy as np
 
 from repro.nr.numerology import Numerology, slot_duration_ms
-from repro.xcal.records import (TRACE_COLUMNS, SlotTrace, TraceMetadata,
-                                _BOOL_COLUMNS, _INT_COLUMNS)
+from repro.xcal.records import COLUMN_DTYPES, SlotTrace, TraceMetadata
 
 __all__ = [
     "ARENA_SCHEMA_VERSION",
     "CohortArena",
     "arena_nbytes",
-    "column_dtype",
 ]
 
 #: Bump when the column set, order, dtypes or packing rule changes.
 #: Folded into every layout dict; :meth:`CohortArena.from_layout`
-#: rejects mismatches.
-ARENA_SCHEMA_VERSION = 1
+#: rejects mismatches.  v2: the narrow column dtypes of
+#: :data:`~repro.xcal.records.COLUMN_DTYPES`.
+ARENA_SCHEMA_VERSION = 2
 
 #: Per-column block alignment inside the buffer.  Blocks start on
 #: 8-byte boundaries so int64/float64 views are always aligned (the
@@ -59,23 +59,14 @@ ARENA_SCHEMA_VERSION = 1
 _ALIGN = 8
 
 
-def column_dtype(name: str) -> np.dtype:
-    """The dtype :meth:`SlotTrace.empty` allocates for ``name``."""
-    if name in _BOOL_COLUMNS:
-        return np.dtype(bool)
-    if name in _INT_COLUMNS:
-        return np.dtype(np.int64)
-    return np.dtype(np.float64)
-
-
 def _offsets(n_cols: int, n_slots: int) -> tuple[dict[str, int], int]:
     """``column name -> byte offset`` plus the total buffer size."""
     offsets: dict[str, int] = {}
     cursor = 0
     cells = n_cols * n_slots
-    for name in TRACE_COLUMNS:
+    for name, dtype in COLUMN_DTYPES.items():
         offsets[name] = cursor
-        nbytes = cells * column_dtype(name).itemsize
+        nbytes = cells * dtype.itemsize
         cursor += -(-nbytes // _ALIGN) * _ALIGN
     return offsets, cursor
 
@@ -112,8 +103,7 @@ class CohortArena:
         self.base: np.ndarray | None = base
         self.columns: dict[str, np.ndarray] = {}
         cells = n_cols * n_slots
-        for name in TRACE_COLUMNS:
-            dtype = column_dtype(name)
+        for name, dtype in COLUMN_DTYPES.items():
             lo = offsets[name]
             block = base[lo:lo + cells * dtype.itemsize]
             self.columns[name] = block.view(dtype).reshape(n_cols, n_slots)

@@ -26,11 +26,11 @@ import numpy as np
 
 from repro.nr.numerology import Numerology
 from repro.xcal.records import (
+    COLUMN_DTYPES,
     TRACE_COLUMNS,
     SlotTrace,
     TraceMetadata,
-    _BOOL_COLUMNS,
-    _INT_COLUMNS,
+    as_column,
     metadata_field_types,
 )
 
@@ -56,15 +56,17 @@ def _parse_metadata(pairs: dict) -> tuple[Numerology, TraceMetadata]:
 
 
 def _columns_to_trace(columns: dict[str, list], mu: Numerology, metadata: TraceMetadata) -> SlotTrace:
+    """Text-parsed column values to a trace at the schema dtypes."""
     arrays = {}
-    for name in TRACE_COLUMNS:
+    for name, dtype in COLUMN_DTYPES.items():
         raw = columns.get(name, [])
-        if name in _BOOL_COLUMNS:
-            arrays[name] = np.array([str(v) in ("1", "True", "true") for v in raw], dtype=bool)
-        elif name in _INT_COLUMNS:
-            arrays[name] = np.array([int(float(v)) for v in raw], dtype=np.int64)
+        if dtype.kind == "b":
+            values = [str(v) in ("1", "True", "true") for v in raw]
+        elif dtype.kind == "i":
+            values = np.array([int(float(v)) for v in raw], dtype=np.int64)
         else:
-            arrays[name] = np.array([float(v) for v in raw], dtype=float)
+            values = [float(v) for v in raw]
+        arrays[name] = as_column(name, values)
     return SlotTrace(mu=mu, metadata=metadata, **arrays)
 
 
@@ -215,12 +217,7 @@ def arrays_to_trace(arrays: dict[str, np.ndarray], pairs: dict,
         raw = arrays.get(prefix + name)
         if raw is None:
             raise ValueError(f"npz payload is missing trace column {prefix + name!r}")
-        if name in _BOOL_COLUMNS:
-            columns[name] = np.asarray(raw, dtype=bool)
-        elif name in _INT_COLUMNS:
-            columns[name] = np.asarray(raw, dtype=np.int64)
-        else:
-            columns[name] = np.asarray(raw, dtype=float)
+        columns[name] = as_column(name, raw)
     return SlotTrace(mu=mu, metadata=metadata, **columns)
 
 

@@ -17,33 +17,55 @@ import numpy as np
 
 from repro.nr.numerology import Numerology, slot_duration_ms
 
-#: Columns of a slot trace, in serialization order.
-TRACE_COLUMNS = (
-    "slot",
-    "time_ms",
-    "slot_type",       # 0=DL, 1=UL, 2=special
-    "scheduled",       # bool: UE received a grant this slot
-    "n_prb",
-    "n_re",
-    "mcs_index",
-    "modulation_order",
-    "layers",
-    "tbs_bits",
-    "delivered_bits",  # 0 when the TB failed decoding this slot
-    "is_retx",
-    "error",           # bool: decode failure this slot
-    "cqi",
-    "dci_format",      # 0 -> 1_0, 1 -> 1_1
-    "sinr_db",
-    "rsrp_dbm",
-    "rsrq_db",
-)
+#: The columns of a slot trace, in serialization order, each with its
+#: one dtype: the narrowest type that holds the column's range (MCS <= 31,
+#: CQI <= 15, layers <= 4, ``n_prb`` <= 275, ``n_re`` = 12 x ``n_prb``,
+#: TBS < 2**31), 59 bytes per slot.  Every allocator, reader and the
+#: native loop's input check read it here.
+COLUMN_DTYPES: dict[str, np.dtype] = {name: np.dtype(t) for name, t in (
+    ("slot", np.int32),
+    ("time_ms", np.float64),
+    ("slot_type", np.int8),         # 0=DL, 1=UL, 2=special
+    ("scheduled", np.bool_),        # UE received a grant this slot
+    ("n_prb", np.int16),
+    ("n_re", np.int32),
+    ("mcs_index", np.int8),
+    ("modulation_order", np.int8),
+    ("layers", np.int8),
+    ("tbs_bits", np.int32),
+    ("delivered_bits", np.int32),   # 0 when the TB failed decoding this slot
+    ("is_retx", np.bool_),
+    ("error", np.bool_),            # decode failure this slot
+    ("cqi", np.int8),
+    ("dci_format", np.int8),        # 0 -> 1_0, 1 -> 1_1
+    ("sinr_db", np.float64),
+    ("rsrp_dbm", np.float64),
+    ("rsrq_db", np.float64),
+)}
 
-_INT_COLUMNS = {
-    "slot", "slot_type", "n_prb", "n_re", "mcs_index", "modulation_order",
-    "layers", "tbs_bits", "delivered_bits", "cqi", "dci_format",
-}
-_BOOL_COLUMNS = {"scheduled", "is_retx", "error"}
+TRACE_COLUMNS = tuple(COLUMN_DTYPES)
+
+
+def as_column(name: str, values) -> np.ndarray:
+    """``values`` as trace column ``name`` at its :data:`COLUMN_DTYPES`
+    dtype, never wrapped: an integer value outside the dtype's range
+    raises ``ValueError`` naming the column."""
+    dtype = COLUMN_DTYPES[name]
+    if dtype.kind != "i":
+        return np.asarray(values, dtype=dtype)
+    wide = np.asarray(values)
+    if wide.dtype == dtype:
+        return wide
+    if wide.dtype.kind not in "biu":
+        wide = wide.astype(np.int64)
+    if wide.size:
+        info = np.iinfo(dtype)
+        lo, hi = int(wide.min()), int(wide.max())
+        if lo < info.min or hi > info.max:
+            bad = lo if lo < info.min else hi
+            raise ValueError(f"trace column {name!r} value {bad} is outside "
+                             f"{dtype} [{info.min}, {info.max}]")
+    return wide.astype(dtype)
 
 
 _METADATA_FIELD_TYPES: dict[str, tuple[type, bool]] | None = None
@@ -156,9 +178,13 @@ class SlotTrace:
 
     def __post_init__(self) -> None:
         n = self.slot.size
-        for name in TRACE_COLUMNS:
-            if getattr(self, name).size != n:
-                raise ValueError(f"column {name!r} has length {getattr(self, name).size}, expected {n}")
+        for name, dtype in COLUMN_DTYPES.items():
+            column = getattr(self, name)
+            if column.size != n:
+                raise ValueError(f"column {name!r} has length {column.size}, expected {n}")
+            if column.dtype != dtype:
+                raise TypeError(f"column {name!r} has dtype {column.dtype}, "
+                                f"the trace schema says {dtype}")
 
     # ------------------------------------------------------------------ #
     # Basics
@@ -280,15 +306,9 @@ class SlotTrace:
         """An all-zero trace of ``n_slots`` slots (simulator scratchpad)."""
         if n_slots < 0:
             raise ValueError("n_slots must be non-negative")
-        columns: dict[str, np.ndarray] = {}
-        for name in TRACE_COLUMNS:
-            if name in _BOOL_COLUMNS:
-                columns[name] = np.zeros(n_slots, dtype=bool)
-            elif name in _INT_COLUMNS:
-                columns[name] = np.zeros(n_slots, dtype=np.int64)
-            else:
-                columns[name] = np.zeros(n_slots, dtype=float)
-        columns["slot"] = np.arange(n_slots, dtype=np.int64)
+        columns = {name: np.zeros(n_slots, dtype=dtype)
+                   for name, dtype in COLUMN_DTYPES.items()}
+        columns["slot"] = np.arange(n_slots, dtype=COLUMN_DTYPES["slot"])
         columns["time_ms"] = columns["slot"] * slot_duration_ms(mu)
         return cls(mu=mu, metadata=metadata or TraceMetadata(), **columns)
 
@@ -300,6 +320,6 @@ class SlotTrace:
             name: np.concatenate([self.column(name), other.column(name)])
             for name in TRACE_COLUMNS
         }
-        columns["slot"] = np.arange(len(self) + len(other), dtype=np.int64)
+        columns["slot"] = np.arange(len(self) + len(other), dtype=COLUMN_DTYPES["slot"])
         columns["time_ms"] = columns["slot"] * self.slot_duration_ms
         return SlotTrace(mu=self.mu, metadata=self.metadata, **columns)

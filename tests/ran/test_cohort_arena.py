@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from repro.nr.numerology import Numerology
-from repro.xcal.arena import (ARENA_SCHEMA_VERSION, CohortArena, arena_nbytes,
-                              column_dtype)
+from repro.xcal.arena import ARENA_SCHEMA_VERSION, CohortArena, arena_nbytes
 from repro.xcal.io import npz_bytes, trace_to_arrays
-from repro.xcal.records import (TRACE_COLUMNS, SlotTrace, TraceMetadata,
-                                _BOOL_COLUMNS, _INT_COLUMNS)
+from repro.xcal.records import COLUMN_DTYPES, TRACE_COLUMNS, SlotTrace, TraceMetadata
 
 
 def _fill_row(trace: SlotTrace, seed: int) -> None:
@@ -39,7 +37,7 @@ class TestLayout:
     def test_nbytes_covers_all_columns(self):
         n_cols, n_slots = 3, 100
         total = arena_nbytes(n_cols, n_slots)
-        floor = sum(n_cols * n_slots * column_dtype(name).itemsize
+        floor = sum(n_cols * n_slots * COLUMN_DTYPES[name].itemsize
                     for name in TRACE_COLUMNS)
         assert floor <= total < floor + 8 * len(TRACE_COLUMNS)
 

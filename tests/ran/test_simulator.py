@@ -243,3 +243,46 @@ class TestParamsValidation:
                                    rng=np.random.default_rng(4),
                                    params=SimParams(rank_adapter=RankAdapter(bias_db=8.0)))
         assert biased.layers[biased.scheduled].mean() < neutral.layers[neutral.scheduled].mean()
+
+
+class TestNativeInputCheck:
+    """``_native_periods`` checks each row against the one element type
+    the C struct declares, before the compiled loop can touch it."""
+
+    def test_wrong_dtype_trace_column_raises_before_the_loop(
+            self, cell_90mhz, good_channel, rng, monkeypatch):
+        from repro.ran import _native, simulator
+        from repro.xcal.records import SlotTrace
+
+        calls = []
+        monkeypatch.setattr(simulator, "resolve_engine", lambda: "native")
+        monkeypatch.setattr(_native, "load_period_loop",
+                            lambda: lambda *args: calls.append(args))
+        empty = SlotTrace.empty
+
+        def widened(*args, **kwargs):
+            trace = empty(*args, **kwargs)
+            trace.n_prb = trace.n_prb.astype(np.int64)
+            return trace
+
+        monkeypatch.setattr(SlotTrace, "empty", widened)
+        with pytest.raises(TypeError, match="'t_n_prb'.*int16"):
+            simulate_downlink(cell_90mhz, good_channel, rng=rng)
+        assert calls == []
+
+    @pytest.mark.parametrize("name,dtype", [("cqi", np.uint8), ("usable", np.int64),
+                                            ("t_tbs", np.int64), ("t_error", np.int8),
+                                            ("measured", np.float32),
+                                            ("row_ptr", np.int64)])
+    def test_each_row_takes_one_dtype(self, name, dtype):
+        from repro.ran.simulator import _C_ROW_DTYPES, _check_native_rows
+
+        _check_native_rows({name: np.zeros(4, dtype=_C_ROW_DTYPES[name])}, 4)
+        with pytest.raises(TypeError, match=repr(name)):
+            _check_native_rows({name: np.zeros(4, dtype=dtype)}, 4)
+
+    def test_short_trace_row_rejected(self):
+        from repro.ran.simulator import _check_native_rows
+
+        with pytest.raises(TypeError, match="holds 3 slots"):
+            _check_native_rows({"t_cqi": np.zeros(3, dtype=np.int8)}, 4)
