@@ -44,6 +44,10 @@ class GnbSite:
 class ChannelRealization:
     """Per-slot channel KPIs for one run.
 
+    Consumers only read the arrays: a series that is constant over the
+    run may be a read-only zero-stride view (``np.broadcast_to``) rather
+    than a per-slot buffer.
+
     Attributes
     ----------
     sinr_db:
@@ -257,7 +261,8 @@ class SyntheticChannel:
             sinr = sinr - attenuation[:n_slots]
         else:
             sinr = sinr - self.blockage.attenuation_db(n_slots, slot_ms, self.speed_mps, rng)
-        rsrp = np.full(n_slots, self.rsrp_ref_dbm)
+        # RSRP and the serving cell are constant over a synthetic run.
+        rsrp = np.broadcast_to(np.float64(self.rsrp_ref_dbm), n_slots)
         rsrq = np.asarray(rsrq_from_sinr(sinr, load=self.rsrq_load))
-        serving = np.zeros(n_slots, dtype=np.int64)
+        serving = np.broadcast_to(np.int64(0), n_slots)
         return ChannelRealization(sinr, rsrp, rsrq, serving, mu=mu)

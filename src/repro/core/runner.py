@@ -62,7 +62,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -290,8 +290,8 @@ def _chunk_values(chunk: list[tuple[int, SessionTask, str | None]],
             f"cohort runner for {tasks[0].fn!r} yielded more results than seeds")
 
 
-def _grouped_chunks(entries: list[tuple[int, SessionTask, str | None]],
-                    chunksize: int) -> list[list[tuple[int, SessionTask, str | None]]]:
+def _grouped_chunks(entries: Iterable[tuple[int, SessionTask, str | None]],
+                    chunksize: int) -> Iterator[list[tuple[int, SessionTask, str | None]]]:
     """Split dispatch entries into chunks along same-shape group lines.
 
     Runs with a registered cohort runner become dedicated chunks sized
@@ -300,27 +300,51 @@ def _grouped_chunks(entries: list[tuple[int, SessionTask, str | None]],
     everything else batches at the plain chunk size.  Chunk contents
     (though not their parallel completion order) depend only on the
     entry sequence, and every chunk preserves entry order, so ordered
-    consumers see the same stream as a serial run.
+    consumers see the same stream as a serial run.  Lazy: a chunk is
+    yielded as soon as it is complete, so a streaming consumer holds at
+    most one chunk's entries, never the manifest's.
     """
     plain_size = max(1, min(chunksize, _MAX_CHUNK))
     cohort_size = max(1, min(_COHORT_MAX_CHUNK, max(chunksize, _COHORT_MIN_CHUNK)))
-    chunks: list[list[tuple[int, SessionTask, str | None]]] = []
     plain: list[tuple[int, SessionTask, str | None]] = []
-
-    def _flush_plain() -> None:
-        if plain:
-            chunks.extend(_chunked(plain, plain_size))
-            plain.clear()
-
-    for group in group_tasks_by_shape([task for _, task, _ in entries]):
-        members = [entries[i] for i in group]
-        if len(members) >= 2 and members[0][1].fn in _COHORT_RUNNERS:
-            _flush_plain()
-            chunks.extend(_chunked(members, cohort_size))
-        else:
-            plain.extend(members)
-    _flush_plain()
-    return chunks
+    # The open same-shape run's entries not yet yielded, and whether it
+    # is a cohort run (two or more entries with a cohort runner).  A
+    # run of a cohort runner stays open on its first entry until the
+    # next one shows whether it is a cohort or a lone plain task.
+    run: list[tuple[int, SessionTask, str | None]] = []
+    cohort = False
+    last: SessionTask | None = None
+    for entry in entries:
+        task = entry[1]
+        if last is not None and not _same_shape(last, task):
+            if cohort:
+                if run:
+                    yield run
+            else:
+                plain += run
+            run, cohort = [], False
+        last = task
+        run.append(entry)
+        if not cohort and len(run) == 2 and task.fn in _COHORT_RUNNERS:
+            cohort = True
+            yield from _chunked(plain, plain_size)
+            plain = []
+        if cohort:
+            if len(run) == cohort_size:
+                yield run
+                run = []
+        elif task.fn not in _COHORT_RUNNERS:
+            plain += run
+            run = []
+        while len(plain) >= plain_size:
+            yield plain[:plain_size]
+            plain = plain[plain_size:]
+    if cohort:
+        if run:
+            yield run
+    else:
+        plain += run
+    yield from _chunked(plain, plain_size)
 
 
 def _execute_chunk_plain(chunk: list[tuple[int, SessionTask, str | None]]
@@ -798,7 +822,7 @@ def _dispatch_shm(entries: list[tuple[int, SessionTask, str | None]],
     """
     global _SHM_RUN
     _SHM_RUN += 1
-    chunks = _grouped_chunks(entries, dispatch_chunksize(len(entries), workers))
+    chunks = list(_grouped_chunks(entries, dispatch_chunksize(len(entries), workers)))
     prefixes = [f"{_SHM_PREFIX}-{os.getpid()}-{_SHM_RUN}-c{n}"
                 for n in range(len(chunks))]
     written: set[int] = set()
@@ -1045,7 +1069,12 @@ def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
 
     hit = [key is not None and store.contains(key) for key in keys] \
         if store is not None else [False] * n_tasks
-    miss_indices = [index for index in range(n_tasks) if not hit[index]]
+    n_miss = hit.count(False)
+
+    def _miss_entries(writes: bool) -> Iterator[tuple[int, SessionTask, str | None]]:
+        # Lazy, so the sweep holds no per-miss entry list.
+        return ((index, manifest[index], keys[index] if writes else None)
+                for index in range(n_tasks) if not hit[index])
 
     def _fold_hit(index: int) -> None:
         try:
@@ -1055,12 +1084,11 @@ def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
             store.put(keys[index], value, task=manifest[index])
         _fold_local(index, value)
 
-    if workers == 1 or len(miss_indices) <= 1:
+    if workers == 1 or n_miss <= 1:
         # Serial sweep with cohort execution: misses stream out of
         # grouped chunks (ascending, since grouping preserves entry
         # order) and interleave with hit folds in manifest order.
-        miss_chunks = _grouped_chunks(
-            [(i, manifest[i], keys[i]) for i in miss_indices], _MAX_CHUNK)
+        miss_chunks = _grouped_chunks(_miss_entries(True), _MAX_CHUNK)
         stream = (item for chunk in miss_chunks for item in _chunk_values(chunk))
         for index in range(n_tasks):
             if hit[index]:
@@ -1077,9 +1105,8 @@ def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
     else:
         writes = store is not None and (executor is None
                                         or executor.routes_for(store))
-        chunks = _grouped_chunks([(i, manifest[i], keys[i] if writes else None)
-                                  for i in miss_indices],
-                                 dispatch_chunksize(len(miss_indices), workers))
+        chunks = _grouped_chunks(_miss_entries(writes),
+                                 dispatch_chunksize(n_miss, workers))
 
         def _sweep(pool: ProcessPoolExecutor) -> None:
             futures = [pool.submit(_execute_chunk_reduced, chunk, reduction)
@@ -1103,7 +1130,7 @@ def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
                         f"expected {index}")
                 _absorb(sketch)
 
-        _in_pool(_sweep, executor, workers, len(miss_indices),
+        _in_pool(_sweep, executor, workers, n_miss,
                  (_store_config(store) if writes else None,))
 
     if acc is None:

@@ -38,6 +38,10 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from repro.xcal.records import COLUMN_DTYPES
+
 #: Override the build cache directory (useful for hermetic CI runs).
 NATIVE_CACHE_ENV = "REPRO_NATIVE_CACHE"
 
@@ -161,36 +165,60 @@ NEED_ROOM = -2
 _f64 = ctypes.c_double
 
 
+#: Trace columns ``repro_run_periods`` writes, in ``session_t`` order;
+#: column ``name`` is field ``t_<name>``.
+TRACE_OUTPUTS = ("scheduled", "is_retx", "error", "n_prb", "n_re", "mcs_index",
+                 "modulation_order", "layers", "tbs_bits", "delivered_bits",
+                 "cqi", "dci_format")
+
+#: ``session_t`` in declaration order: field names, ctypes type and, for
+#: a pointer, the numpy dtype of the row it points at (``None`` for a
+#: scalar).  A trace row takes its column's schema dtype; ``bool`` is
+#: one byte.
+_SESSION_LAYOUT = (
+    ("n_slots period", _i64, None),
+    ("measured", _ptr, np.float64),
+    ("cqi prb grant", _ptr, np.int64),
+    ("uniforms retx_uniforms", _ptr, np.float64),
+    ("usable special", _ptr, np.uint8),
+    ("mcs_lut", _ptr, np.int64),
+    ("n_off off_lo n_mcs", _i64, None),
+    ("mod_lut tbs_full tbs_special", _ptr, np.int64),
+    ("n_grants max_layers", _i64, None),
+    ("rank_up rank_keep", _ptr, np.float64),
+    ("n_rank_steps adapter_max", _i64, None),
+    ("beta", _f64, None),
+    ("olla_enabled", _i64, None),
+    ("olla_up olla_down olla_lo olla_hi", _f64, None),
+    ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64, None),
+    ("scale", _f64, None),
+    ("row_ptr", _ptr, np.uintp),
+    ("cap", _i64, None),
+    ("due tbs att", _ptr, np.int64),
+    ("ph", _ptr, np.float64),
+    ("pending", _i64, None),
+    ("dec fm tx", _ptr, np.uint8),
+    ("cum seg_col seg_lo seg_hi ev_col ev_slot ev_tbs", _ptr, np.int64),
+    ("ev_ok ev_retx", _ptr, np.uint8),
+    *((f"t_{name}", _ptr, COLUMN_DTYPES[name]) for name in TRACE_OUTPUTS),
+    ("p rank have_ewma", _i64, None),
+    ("ewma delta", _f64, None),
+)
+
+#: Element dtype of every pointer field of ``session_t``, by field name.
+ROW_DTYPES: dict[str, np.dtype] = {
+    name: np.dtype(dtype) for names, _, dtype in _SESSION_LAYOUT
+    if dtype is not None for name in names.split()}
+
+
 class SessionLoop(ctypes.Structure):
     """``session_t`` of ``_retx_kernel.c``: one session's constants,
     array pointers and resumable loop state, bound once per session so
     each call passes one pointer.  Field order and types must match the
-    C declaration."""
+    C declaration (:data:`_SESSION_LAYOUT`)."""
 
-    _fields_ = [(name, ctype) for names, ctype in (
-        ("n_slots period", _i64),
-        ("measured cqi prb grant uniforms retx_uniforms usable special "
-         "mcs_lut", _ptr),
-        ("n_off off_lo n_mcs", _i64),
-        ("mod_lut tbs_full tbs_special", _ptr),
-        ("n_grants max_layers", _i64),
-        ("rank_up rank_keep", _ptr),
-        ("n_rank_steps adapter_max", _i64),
-        ("beta", _f64),
-        ("olla_enabled", _i64),
-        ("olla_up olla_down olla_lo olla_hi", _f64),
-        ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64),
-        ("scale", _f64),
-        ("row_ptr", _ptr),
-        ("cap", _i64),
-        ("due tbs att ph", _ptr),
-        ("pending", _i64),
-        ("dec fm tx cum seg_col seg_lo seg_hi ev_col ev_slot ev_tbs ev_ok "
-         "ev_retx t_scheduled t_is_retx t_error t_n_prb t_n_re t_mcs t_mod "
-         "t_layers t_tbs t_delivered t_cqi t_dci", _ptr),
-        ("p rank have_ewma", _i64),
-        ("ewma delta", _f64),
-    ) for name in names.split()]
+    _fields_ = [(name, ctype) for names, ctype, _ in _SESSION_LAYOUT
+                for name in names.split()]
 
 
 def count_fallback() -> None:

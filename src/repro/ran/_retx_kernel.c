@@ -246,9 +246,10 @@ int64_t repro_retx_period(
 /* Single-session period loop.
  *
  * Field order and types must match `_native.SessionLoop` (int64,
- * double and pointers only, so the layout has no padding).  The
- * pointed-to element types are checked per argument by
- * `_native_periods` in simulator.py. */
+ * double and pointers only, so the layout has no padding), which also
+ * declares each pointer's element type; `_native_periods` in
+ * simulator.py checks every row against it.  A trace column `name` is
+ * written through field `t_<name>`. */
 typedef struct {
     /* shape */
     int64_t n_slots, period;
@@ -297,9 +298,9 @@ typedef struct {
     uint8_t *t_scheduled, *t_is_retx, *t_error;
     int16_t *t_n_prb;
     int32_t *t_n_re;
-    int8_t *t_mcs, *t_mod, *t_layers;
-    int32_t *t_tbs, *t_delivered;
-    int8_t *t_cqi, *t_dci;
+    int8_t *t_mcs_index, *t_modulation_order, *t_layers;
+    int32_t *t_tbs_bits, *t_delivered_bits;
+    int8_t *t_cqi, *t_dci_format;
     /* resumable loop state */
     int64_t p, rank, have_ewma;
     double ewma, delta;
@@ -317,13 +318,13 @@ static inline void write_slot(session_t *s, int64_t i, int64_t prb,
     s->t_is_retx[i] = is_retx;
     s->t_n_prb[i] = (int16_t)prb;
     s->t_n_re[i] = (int32_t)(prb * 12);
-    s->t_mcs[i] = (int8_t)mcs;
-    s->t_mod[i] = (int8_t)mod;
+    s->t_mcs_index[i] = (int8_t)mcs;
+    s->t_modulation_order[i] = (int8_t)mod;
     s->t_layers[i] = (int8_t)layers;
-    s->t_tbs[i] = (int32_t)tbs;
+    s->t_tbs_bits[i] = (int32_t)tbs;
     s->t_cqi[i] = (int8_t)cqi;
-    s->t_dci[i] = (int8_t)dci;
-    s->t_delivered[i] = ok ? (int32_t)tbs : 0;
+    s->t_dci_format[i] = (int8_t)dci;
+    s->t_delivered_bits[i] = ok ? (int32_t)tbs : 0;
     s->t_error[i] = !ok;
 }
 

@@ -57,7 +57,7 @@ from repro.ran.amc import BlerModel, Olla, RankAdapter
 from repro.ran import _native
 from repro.ran.config import CellConfig, pinned_engine, resolve_engine
 from repro.ran.scheduler import Scheduler, SchedulingRequest
-from repro.xcal.records import COLUMN_DTYPES, SlotTrace, TraceMetadata
+from repro.xcal.records import SlotTrace, TraceMetadata
 
 #: Slot-type codes used in traces (match ``TddPattern.type_array``).
 SLOT_DL, SLOT_UL, SLOT_SPECIAL = 0, 1, 2
@@ -483,41 +483,18 @@ def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tu
 #: but never read.
 _CHUNK_PERIODS = 256
 
-#: The native loop's trace outputs: argument name -> trace column.
-_C_TRACE_ROWS = {
-    "t_scheduled": "scheduled", "t_is_retx": "is_retx", "t_error": "error",
-    "t_n_prb": "n_prb", "t_n_re": "n_re", "t_mcs": "mcs_index",
-    "t_mod": "modulation_order", "t_layers": "layers", "t_tbs": "tbs_bits",
-    "t_delivered": "delivered_bits", "t_cqi": "cqi", "t_dci": "dci_format",
-}
-
-#: The element type ``session_t`` in ``_retx_kernel.c`` declares for
-#: each row the native loop reads or writes, by argument name; a trace
-#: row takes its column's schema dtype (``bool`` is one byte).
-_C_ROW_DTYPES: dict[str, np.dtype] = {
-    **dict.fromkeys(("measured", "uniforms", "retx_uniforms", "rank_up",
-                     "rank_keep"), np.dtype(np.float64)),
-    **dict.fromkeys(("cqi", "prb", "grant", "mcs_lut", "mod_lut", "tbs_full",
-                     "tbs_special", "cum", "seg_col", "seg_lo", "seg_hi",
-                     "ev_col", "ev_slot", "ev_tbs"), np.dtype(np.int64)),
-    **dict.fromkeys(("usable", "special", "dec", "fm", "tx",
-                     "ev_ok", "ev_retx"), np.dtype(np.uint8)),
-    "row_ptr": np.dtype(np.uintp),
-    **{arg: COLUMN_DTYPES[column] for arg, column in _C_TRACE_ROWS.items()},
-}
-
-
 def _check_native_rows(arrays: dict[str, np.ndarray], n_slots: int) -> None:
     """Raise ``TypeError`` unless every row is contiguous at exactly the
-    element type the C struct declares for it, and every trace row
-    holds ``n_slots`` elements: the loop trusts both, so a mismatch
-    would read or write past the array."""
+    element type ``session_t`` declares for it
+    (:data:`repro.ran._native.ROW_DTYPES`), and every trace row holds
+    ``n_slots`` elements: the loop trusts both, so a mismatch would
+    read or write past the array."""
     for name, array in arrays.items():
-        expected = _C_ROW_DTYPES[name]
+        expected = _native.ROW_DTYPES[name]
         if array.dtype != expected or not array.flags.c_contiguous:
             raise TypeError(f"native loop input {name!r} must be a contiguous "
                             f"{expected} row, got {array.dtype}")
-        if name in _C_TRACE_ROWS and array.size != n_slots:
+        if name.startswith("t_") and array.size != n_slots:
             raise TypeError(f"native loop output {name!r} holds {array.size} "
                             f"slots, the session has {n_slots}")
 
@@ -585,7 +562,7 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         "seg_lo": scratch_i64[2], "seg_hi": scratch_i64[3],
         "ev_col": scratch_i64[4], "ev_slot": scratch_i64[5],
         "ev_tbs": scratch_i64[6], "ev_ok": scratch_ev[0], "ev_retx": scratch_ev[1],
-        **{arg: trace.column(column) for arg, column in _C_TRACE_ROWS.items()},
+        **{f"t_{name}": trace.column(name) for name in _native.TRACE_OUTPUTS},
     }
     _check_native_rows(arrays, n_slots)
     state = _native.SessionLoop(

@@ -138,6 +138,20 @@ def reset_cohort_stats() -> None:
 #: this period" predicate without a separate emptiness mask.
 _FAR = np.int64(1) << 60
 
+#: CQI periods per block of the loop's per-slot inputs.  The pass draws
+#: the decode uniforms and evaluates the sustainable efficiency one
+#: block at a time, so it holds (n_cols, block) buffers instead of
+#: (n_cols, n_slots) ones.
+_BLOCK_PERIODS = 16
+
+
+def _fork(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator that continues ``rng``'s stream from
+    its current position."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
 
 def _require_kernel():
     """The compiled retx kernel — the cohort engine's only path for
@@ -298,16 +312,26 @@ class _CohortRetxLanes:
     # ------------------------------------------------------------------ #
     # Flush shaping
     # ------------------------------------------------------------------ #
+    def release(self) -> None:
+        """Drop the lane state and every reference to the cohort arrays
+        the kernel reads (the retx draws among them), so the flush can
+        free them before it allocates; no period can run afterwards."""
+        self._keep = self._args = None
+        self.due = self.tbs = self.att = self.p = None
+
     def committed_mask(self) -> np.ndarray | None:
         """(n_cols, n_slots) bool of committed sub-segment ranges
         (pre-AND with the transmit pattern), or ``None``."""
         if not self._segs:
             return None
         c, lo, hi = np.concatenate(self._segs, axis=1)
-        delta = np.zeros((self.n_cols, self.n_slots + 1), dtype=np.int32)
+        # A column's committed sub-segments are disjoint, so the running
+        # count is 0 or 1 and fits one byte.
+        delta = np.zeros((self.n_cols, self.n_slots + 1), dtype=np.int8)
         np.add.at(delta, (c, lo), 1)
         np.add.at(delta, (c, hi), -1)
-        return np.cumsum(delta[:, :-1], axis=1, dtype=np.int32) > 0
+        np.cumsum(delta, axis=1, out=delta)
+        return delta[:, :-1] > 0
 
     def events_by_column(self):
         """Served/deferred events grouped by column for the flush:
@@ -350,12 +374,12 @@ def _simulate_direction_cohort(
     t0 = time.perf_counter()
     n_cols = len(channels)
     n_slots = channels[0].n_slots
-    for ch in channels:
-        if ch.n_slots != n_slots:
-            raise ValueError("cohort channels must share one slot count")
+    mu = channels[0].mu
+    if any(ch.n_slots != n_slots for ch in channels):
+        raise ValueError("cohort channels must share one slot count")
     arena: CohortArena | None = None
     if arena_factory is not None:
-        arena = arena_factory(n_cols, n_slots, channels[0].mu)
+        arena = arena_factory(n_cols, n_slots, mu)
         if arena is not None and (arena.n_cols != n_cols
                                   or arena.n_slots != n_slots):
             raise ValueError(
@@ -380,35 +404,42 @@ def _simulate_direction_cohort(
     # --- per-column pre-draws, in the exact per-session order ----------
     # Each column's generator is consumed identically to a lone
     # ``run_session`` call: uniforms, retx uniforms, CQI noise,
-    # background series.  The measurement chain (measured SINR, CQI,
-    # sustainable efficiency, grant quantization) evaluates per column
-    # on the same 1-D arrays the per-session path sees, then stacks.
+    # background series.  The decode uniforms are drawn in the loop,
+    # block by block, from a fork taken where they start; the generator
+    # itself draws and discards them, so every later draw and its final
+    # state are unchanged.
+    #
+    # The SINR is stacked once — into the arena's block when there is
+    # one, where the RSRP/RSRQ rows go too — and the channel realizations
+    # are dropped; the lazy flush keeps only each column's RSRP/RSRQ
+    # rows.  The measurement chain (measured SINR, CQI, sustainable
+    # efficiency) is elementwise, so it evaluates on the stacked SINR —
+    # the efficiency block by block in the loop — to the values the
+    # per-session path computes from each 1-D series.
     bler = params.bler
-    uniforms2 = np.empty((n_cols, n_slots))
+    uniform_rngs = []
+    discard = np.empty(n_slots)
     retx2 = np.empty((n_cols, n_slots))
     noise2 = np.empty((n_cols, n_periods_total))
     bg_raw2 = np.empty((n_cols, n_periods_total))
-    # The sustainable efficiency and the measured SINR are evaluated row
-    # by row on each channel's own 1-D SINR series, exactly as the
-    # per-session path does, so they need no (n_cols, n_slots)
-    # temporaries.  With an arena, the channel-state columns are written
-    # straight into their final 2-D blocks — the flush never touches
-    # them again.
-    eff_cap2 = np.empty((n_cols, n_slots))
-    meas2 = np.empty((n_cols, n_periods))
-    meas_idx = np.maximum(starts - params.cqi_delay_slots, 0)
+    sinr2 = (arena.columns["sinr_db"] if arena is not None
+             else np.empty((n_cols, n_slots)))
+    kpi_rows = []
     for c, rng in enumerate(rngs):
-        uniforms2[c] = rng.random(n_slots)
+        uniform_rngs.append(_fork(rng))
+        rng.random(out=discard)
         retx2[c] = rng.random(n_slots)
         noise2[c] = rng.standard_normal(n_periods_total)
         bg_raw2[c] = rng.standard_normal(n_periods_total)
-        sinr = channels[c].sinr_db
+        channel = channels[c]
+        sinr2[c] = channel.sinr_db
         if arena is not None:
-            arena.columns["sinr_db"][c] = sinr
-            arena.columns["rsrp_dbm"][c] = channels[c].rsrp_dbm
-            arena.columns["rsrq_db"][c] = channels[c].rsrq_db
-        eff_cap2[c] = bler.capacity(sinr)
-        meas2[c] = sinr[meas_idx]
+            arena.columns["rsrp_dbm"][c] = channel.rsrp_dbm
+            arena.columns["rsrq_db"][c] = channel.rsrq_db
+        else:
+            kpi_rows.append((channel.rsrp_dbm, channel.rsrq_db))
+    del channels, channel, discard
+    meas2 = sinr2[:, np.maximum(starts - params.cqi_delay_slots, 0)]
     meas2 += params.cqi_noise_db * noise2[:, :n_periods]
     cqi2 = np.minimum(
         sinr_to_cqi(meas2, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX)
@@ -496,6 +527,10 @@ def _simulate_direction_cohort(
     rank_steps = _rank_steps(rank_adapter)
     layers_capped = adapter_max > max_layers
 
+    block_slots = _BLOCK_PERIODS * period
+    uniforms = np.empty((n_cols, min(block_slots, n_slots)))
+    block_lo = 0
+
     dirty_cells = 0
     t_batched = 0.0
     t_loop = time.perf_counter()
@@ -504,6 +539,13 @@ def _simulate_direction_cohort(
         stop = stops_l[p]
         m = stop - start
         sl = slice(start, stop)
+        if p % _BLOCK_PERIODS == 0:
+            block_lo = start
+            block_hi = min(n_slots, start + block_slots)
+            for c, uniform_rng in enumerate(uniform_rngs):
+                uniform_rng.random(out=uniforms[c, :block_hi - block_lo])
+            eff_cap = bler.capacity(sinr2[:, block_lo:block_hi])
+        at = slice(start - block_lo, stop - block_lo)
 
         # --- measurement report (vectorized across columns) -------------
         # Same IEEE op sequence per element as the scalar chain:
@@ -543,8 +585,8 @@ def _simulate_direction_cohort(
 
         # --- decode outcomes: one 2-D BLER pass --------------------------
         p_err = bler.error_probability_given_capacity(
-            eff_mcs[:, None], eff_cap2[:, sl], out=p_err2[:, :m])
-        decoded = np.greater_equal(uniforms2[:, sl], p_err, out=decoded2[:, sl])
+            eff_mcs[:, None], eff_cap[:, at], out=p_err2[:, :m])
+        decoded = np.greater_equal(uniforms[:, at], p_err, out=decoded2[:, sl])
 
         # --- clean/dirty split -------------------------------------------
         failm = np.logical_and(tx4[:, sl][case],
@@ -576,10 +618,9 @@ def _simulate_direction_cohort(
             np.minimum(delta, olla_hi, out=delta)
 
     t_end = time.perf_counter()
-    # The flush reads none of the per-slot draws or efficiencies: free
-    # them before it allocates (with the retx draws below, they are
-    # most of the pass's working set).
-    del uniforms2, eff_cap2
+    # The flush reads none of the loop's per-slot inputs: free them
+    # before it allocates.
+    del uniforms, uniform_rngs, eff_cap
     _COUNTERS["cohorts"] += 1
     _COUNTERS["columns"] += n_cols
     _COUNTERS["cells"] += n_cols * n_periods
@@ -606,10 +647,13 @@ def _simulate_direction_cohort(
     col_slots = np.arange(n_slots)
     period_of_slot = col_slots // period
     t_lanes = time.perf_counter()
+    # The flush reads no lane state or retx draws either: free them
+    # before the lane outputs are shaped.
+    lanes.release()
+    del retx2
     inseg2 = lanes.committed_mask()
     events = lanes.events_by_column()
-    # The flush reads no lane state or retx draws either.
-    del lanes, retx2
+    del lanes
     tf = time.perf_counter()
     _COUNTERS["batched_s"] += tf - t_lanes
     if arena is not None:
@@ -714,10 +758,11 @@ def _simulate_direction_cohort(
     _COUNTERS["flush_s"] += time.perf_counter() - tf
     for c in range(n_cols):
         t1 = time.perf_counter()
-        trace = SlotTrace.empty(n_slots, mu=channels[c].mu, metadata=metadatas[c])
-        trace.sinr_db[:] = channels[c].sinr_db
-        trace.rsrp_dbm[:] = channels[c].rsrp_dbm
-        trace.rsrq_db[:] = channels[c].rsrq_db
+        trace = SlotTrace.empty(n_slots, mu=mu, metadata=metadatas[c])
+        trace.sinr_db[:] = sinr2[c]
+        rsrp, rsrq = kpi_rows[c]
+        trace.rsrp_dbm[:] = rsrp
+        trace.rsrq_db[:] = rsrq
         trace.slot_type[:] = slot_types
         # Clean-period and committed-segment slots, bulk-filled from the
         # per-period constant tensors (disjoint from event slots; every

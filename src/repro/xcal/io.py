@@ -62,8 +62,6 @@ def _columns_to_trace(columns: dict[str, list], mu: Numerology, metadata: TraceM
         raw = columns.get(name, [])
         if dtype.kind == "b":
             values = [str(v) in ("1", "True", "true") for v in raw]
-        elif dtype.kind == "i":
-            values = np.array([int(float(v)) for v in raw], dtype=np.int64)
         else:
             values = [float(v) for v in raw]
         arrays[name] = as_column(name, values)

@@ -56,11 +56,15 @@ def as_column(name: str, values) -> np.ndarray:
     wide = np.asarray(values)
     if wide.dtype == dtype:
         return wide
-    if wide.dtype.kind not in "biu":
-        wide = wide.astype(np.int64)
     if wide.size:
+        # The range check runs on the values as given — a float, or an
+        # object array of Python ints past int64 — never on a cast.
         info = np.iinfo(dtype)
-        lo, hi = int(wide.min()), int(wide.max())
+        try:
+            lo, hi = int(wide.min()), int(wide.max())
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"trace column {name!r} holds a value that is "
+                             f"not a finite integer") from None
         if lo < info.min or hi > info.max:
             bad = lo if lo < info.min else hi
             raise ValueError(f"trace column {name!r} value {bad} is outside "

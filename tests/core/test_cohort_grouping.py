@@ -150,6 +150,26 @@ class TestCohortDispatch:
         finally:
             runner_mod._COHORT_RUNNERS.pop(one, None)
 
+    def test_chunks_stream_along_group_lines(self, monkeypatch):
+        # Chunks follow group lines, and each is yielded once the entry
+        # after it is read, so a streaming consumer holds one chunk's
+        # entries, never the manifest's.
+        monkeypatch.setitem(runner_mod._COHORT_RUNNERS, _noop, (None, False))
+        tasks = ([SessionTask(fn=_noop, kwargs={"x": 0}, seed=s) for s in range(5)]
+                 + [SessionTask(fn=_other, seed=5), SessionTask(fn=_noop, seed=6)]
+                 + [SessionTask(fn=_noop, kwargs={"x": 2}, seed=s) for s in range(3)])
+        read: list[int] = []
+
+        def entries():
+            for index, task in enumerate(tasks):
+                read.append(index)
+                yield index, task, None
+
+        chunks = runner_mod._grouped_chunks(entries(), 2)
+        assert [i for i, _, _ in next(chunks)] == [0, 1, 2, 3, 4]
+        assert read[-1] == 5
+        assert [[i for i, _, _ in chunk] for chunk in chunks] == [[5, 6], [7, 8, 9]]
+
     def test_short_cohort_yield_detected(self):
         def two(x: int = 0, seed: int = 0) -> int:
             return seed

@@ -271,13 +271,14 @@ class TestNativeInputCheck:
         assert calls == []
 
     @pytest.mark.parametrize("name,dtype", [("cqi", np.uint8), ("usable", np.int64),
-                                            ("t_tbs", np.int64), ("t_error", np.int8),
+                                            ("t_tbs_bits", np.int64), ("t_error", np.int8),
                                             ("measured", np.float32),
                                             ("row_ptr", np.int64)])
     def test_each_row_takes_one_dtype(self, name, dtype):
-        from repro.ran.simulator import _C_ROW_DTYPES, _check_native_rows
+        from repro.ran._native import ROW_DTYPES
+        from repro.ran.simulator import _check_native_rows
 
-        _check_native_rows({name: np.zeros(4, dtype=_C_ROW_DTYPES[name])}, 4)
+        _check_native_rows({name: np.zeros(4, dtype=ROW_DTYPES[name])}, 4)
         with pytest.raises(TypeError, match=repr(name)):
             _check_native_rows({name: np.zeros(4, dtype=dtype)}, 4)
 

@@ -112,23 +112,31 @@ class TestNoSilentWrap:
             as_column("cqi", [3, -200])
         assert as_column("tbs_bits", [2**31 - 1]).dtype == np.int32
 
-    def test_read_csv_rejects_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("values", [[1, 10**20], [1.0, 1e20], [float("nan")],
+                                        [float("inf")]])
+    def test_as_column_rejects_values_past_int64(self, values):
+        with pytest.raises(ValueError, match="'n_prb'"):
+            as_column("n_prb", values)
+
+    @pytest.mark.parametrize("cell", ["40000", "1e20"])
+    def test_read_csv_rejects_out_of_range(self, tmp_path, cell):
         path = write_csv(_filled(4), tmp_path / "t.csv")
         lines = path.read_text().splitlines()
         header = [i for i, line in enumerate(lines) if not line.startswith("#")][0]
         col = lines[header].split(",").index("n_prb")
         cells = lines[header + 2].split(",")
-        cells[col] = "40000"
+        cells[col] = cell
         lines[header + 2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="'n_prb'"):
             read_csv(path)
 
-    def test_read_jsonl_rejects_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("value", [300, 10**20])
+    def test_read_jsonl_rejects_out_of_range(self, tmp_path, value):
         path = write_jsonl(_filled(4), tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
-        record["mcs_index"] = 300
+        record["mcs_index"] = value
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="'mcs_index'"):
