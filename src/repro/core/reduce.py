@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -523,6 +523,9 @@ class CampaignReduction:
     empty.  Carrier-aggregated results fold their aggregate throughput
     series; MCS/MIMO sketches skip them (no single per-slot series).
 
+    The binning and V(t) constants below are the same for every
+    campaign; they stay in the fingerprint so memo keys are unchanged.
+
     The ``stats`` dict is runner-side accounting (folded/merged counts,
     memo state) surfaced by the CLI's ``[reduce]`` line; it never enters
     the fingerprint.
@@ -530,12 +533,13 @@ class CampaignReduction:
 
     group_mode: str = "campaign"
     variability_kpis: tuple = ()
-    max_scale_ms: float = 2048.0
-    quantile_lo: float = 0.0
-    quantile_hi: float = 4096.0
-    quantile_bins: int = 1024
-    min_valid_fraction: float = MIN_VALID_FRACTION
     stats: dict = field(default_factory=dict, compare=False, repr=False)
+
+    max_scale_ms: ClassVar[float] = 2048.0
+    quantile_lo: ClassVar[float] = 0.0
+    quantile_hi: ClassVar[float] = 4096.0
+    quantile_bins: ClassVar[int] = 1024
+    min_valid_fraction: ClassVar[float] = MIN_VALID_FRACTION
 
     def __post_init__(self) -> None:
         if self.group_mode not in ("campaign", "label"):

@@ -20,36 +20,40 @@ sessions.  This module gives them one execution engine:
    come back in manifest order, so outputs are bit-identical for every
    worker count.
 4. **Memoization and the shm transport** — ``run_tasks(...,
-   store=...)`` consults a :class:`repro.store.TraceStore` first: hits
-   are served straight from disk (the process pool is never started
-   when everything hits), misses are executed.  Parallel results move
+   store=...)`` splits the manifest once into store hits and misses and
+   then makes one ordered sweep over it: a hit is read from disk when
+   the sweep reaches it (the process pool is never started when
+   everything hits), a miss comes from one stream of executed chunks.
+   Every lookup counts once, as a hit or a miss.  Parallel results move
    through ``multiprocessing.shared_memory``: a worker flushes its
    cohort straight into a shared-memory trace arena
    (:class:`repro.xcal.arena.CohortArena`) and ships only
    ``(segment name, layout, row index)`` over the pipe; the parent
-   re-attaches and materializes traces as zero-copy numpy views.  When
-   the workers share the run's store, each worker also writes its keyed
-   results into it (write-behind on a writer thread), so the parent
-   only maps shared memory and never reads a result back from disk.
-   ``transport="pipe"`` forces the legacy pickle-the-result path (kept
-   for benchmarks and cross-checks), which is also the fallback on
-   platforms without POSIX shm; results are byte-identical either way.
+   re-attaches and materializes traces as zero-copy numpy views.
+   Workers hold the run's store (the executor must be opened on it) and
+   write their keyed results into it (write-behind on a writer thread),
+   so the parent only maps shared memory and never reads a result back
+   from disk.  ``transport="pipe"`` forces the legacy
+   pickle-the-result path (kept for benchmarks and cross-checks; there
+   the parent writes), which is also the fallback on platforms without
+   POSIX shm; results are byte-identical either way.
 5. **Pool reuse** — :class:`CampaignExecutor` keeps one warm process
    pool alive across many ``run_tasks`` calls (a whole ``repro
    campaign`` / multi-experiment ``repro run``), with a worker
    initializer that opens the per-worker store handle once and
    pre-warms the TBS lookup-matrix cache.  A transient pool of a
-   ``jobs>1`` call with a store gets the same initializer.
-6. **Streaming reduction** — ``run_tasks(..., reduce=...)`` replaces
-   the materialized result list with a merged sketch (see
-   :mod:`repro.core.reduce`): each worker folds its session result into
-   a per-task sketch and ships only the sketch; the parent left-folds
-   sketches in manifest order, so the merge tree — and therefore the
-   output, byte for byte — is independent of worker count and
-   transport, and peak memory is bounded by one in-flight trace per
-   worker instead of the campaign size.  With a store, the merged
-   campaign-level sketch is itself memoized under a key covering the
-   reduction config and every member task.
+   ``jobs>1`` call gets the same initializer, except under the pipe
+   transport, whose workers write nothing.
+6. **Streaming reduction** — ``run_tasks(..., reduce=...)`` runs the
+   same sweep but folds instead of storing: each worker folds its
+   session results into per-task sketches and ships only those; the
+   parent folds hits itself and left-merges every sketch in manifest
+   order, so the merge tree — and therefore the output, byte for byte
+   — is independent of worker count and transport, and peak memory is
+   bounded by one in-flight trace per worker instead of the campaign
+   size.  With a store, the merged campaign-level sketch is itself
+   memoized under a key covering the reduction config and every member
+   task; its lookup counts as one more hit or miss.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import multiprocessing
 import os
 import weakref
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -163,10 +167,6 @@ class SessionTask:
         kwargs cannot drift from the seed key.
         """
         return dataclasses.replace(self, seed=derive_seed(root_seed, *key))
-
-
-def _execute(task: SessionTask) -> Any:
-    return task.execute()
 
 
 # ---------------------------------------------------------------------- #
@@ -411,22 +411,18 @@ def prewarm_worker_caches() -> None:
     tensor path resolves up front (background mean + 2 sigma under the
     default :class:`~repro.ran.simulator.SimParams` trims ~9.5% of the
     full grant), so tensor cold runs pay no first-touch TBS builds in
-    the timed region.  Best-effort: a profile that fails to warm simply
-    pays the build on first use.
+    the timed region.
     """
-    try:
-        from repro.nr.tdd import SlotType
-        from repro.operators.profiles import ALL_PROFILES
-        from repro.ran.simulator import prewarm_tbs_matrices
+    from repro.nr.tdd import SlotType
+    from repro.operators.profiles import ALL_PROFILES
+    from repro.ran.simulator import prewarm_tbs_matrices
 
-        for profile in ALL_PROFILES.values():
-            prewarm_tbs_matrices(profile.primary_cell, SlotType.DL,
-                                 min_grant_fraction=0.88)
-            prewarm_tbs_matrices(profile.primary_cell, SlotType.UL,
-                                 max_layers=profile.ul_max_layers,
-                                 min_grant_fraction=0.88)
-    except Exception:
-        pass
+    for profile in ALL_PROFILES.values():
+        prewarm_tbs_matrices(profile.primary_cell, SlotType.DL,
+                             min_grant_fraction=0.88)
+        prewarm_tbs_matrices(profile.primary_cell, SlotType.UL,
+                             max_layers=profile.ul_max_layers,
+                             min_grant_fraction=0.88)
 
 
 def _pool_initializer(store_config: tuple[str, int | None] | None) -> None:
@@ -768,15 +764,16 @@ def _attach_shm_arena(name: str, layout: Mapping) -> Any:
     return arena
 
 
-def _consume_shm_payload(segments: list, plain: list,
-                         results: list[Any]) -> None:
-    """Materialize one worker's shm payload into ``results`` in place."""
+def _attach_shm_payload(segments: list, plain: list) -> list[tuple[int, Any]]:
+    """Materialize one worker's shm payload as ``(index, value)`` pairs,
+    in manifest order."""
+    pairs = list(plain)
     for name, layout, rows in segments:
         arena = _attach_shm_arena(name, layout)
-        for index, row, metadata in rows:
-            results[index] = arena.trace(row, metadata=metadata)
-    for index, value in plain:
-        results[index] = value
+        pairs += [(index, arena.trace(row, metadata=metadata))
+                  for index, row, metadata in rows]
+    pairs.sort(key=lambda pair: pair[0])
+    return pairs
 
 
 def _cleanup_shm_chunk(prefix: str, count: int) -> None:
@@ -802,59 +799,6 @@ def _cleanup_shm_chunk(prefix: str, count: int) -> None:
             seg.unlink()
         except (FileNotFoundError, OSError):  # pragma: no cover
             pass
-
-
-def _dispatch_shm(entries: list[tuple[int, SessionTask, str | None]],
-                  workers: int, results: list[Any],
-                  executor: CampaignExecutor | None, store: Any) -> set[int]:
-    """Shared-memory parallel execution of ``(index, task, key)``
-    entries into ``results``, in place.
-
-    Entries with a key are written to ``store`` by the workers, which
-    must share it (a :meth:`CampaignExecutor.routes_for` pool, or the
-    transient pool opened here).  Returns the indices of the accepted
-    writes.
-
-    Chunk segment names are chosen by the parent before dispatch
-    (``repro-<pid>-<run>-c<chunk>-<k>``), so cleanup after a failure or
-    worker crash needs no information back from the workers: every name
-    a chunk could have created is enumerable and swept.
-    """
-    global _SHM_RUN
-    _SHM_RUN += 1
-    chunks = list(_grouped_chunks(entries, dispatch_chunksize(len(entries), workers)))
-    prefixes = [f"{_SHM_PREFIX}-{os.getpid()}-{_SHM_RUN}-c{n}"
-                for n in range(len(chunks))]
-    written: set[int] = set()
-
-    def _collect(pool: ProcessPoolExecutor) -> None:
-        futures = {
-            pool.submit(_execute_chunk_shm, chunk, prefix): (len(chunk), prefix)
-            for chunk, prefix in zip(chunks, prefixes)}
-        try:
-            for future in as_completed(futures):
-                segments, plain, writes = future.result()
-                _consume_shm_payload(segments, plain, results)
-                written.update(_note_worker_writes(writes, store, executor))
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            for future in futures:  # wait out in-flight chunks
-                if not future.cancelled():
-                    try:
-                        future.result()
-                    except BaseException:
-                        pass
-            # A chunk makes at most one cohort arena plus one packed
-            # arena per distinct stray trace shape (<= chunk length).
-            for size, prefix in futures.values():
-                _cleanup_shm_chunk(prefix, size + 1)
-            raise
-
-    writes_store = any(key is not None for _, _, key in entries)
-    _in_pool(_collect, executor, workers, len(entries),
-             (_store_config(store),) if writes_store else None)
-    return written
 
 
 # ---------------------------------------------------------------------- #
@@ -894,11 +838,12 @@ class CampaignExecutor:
         return _store_config(self.store)
 
     def routes_for(self, store: Any) -> bool:
-        """Whether this executor's workers write into ``store``.
+        """Whether this executor's workers write into ``store`` —
+        :func:`run_tasks` refuses any other store.
 
         Roots compare *resolved* (absolute, symlinks followed): a
         relative and an absolute spelling of the same directory are the
-        same store, and must not silently disable routing.
+        same store, and must not be refused.
         """
         if store is None or self.store is None:
             return False
@@ -977,171 +922,77 @@ def _in_pool(body: Callable[[ProcessPoolExecutor], None],
 
 
 def _note_worker_writes(writes: Iterable[tuple[int, bool, int]], store: Any,
-                        executor: CampaignExecutor | None) -> list[int]:
-    """Account the writes workers made into ``store``; returns the
-    indices whose write the store accepted."""
-    accepted = []
-    for index, ok, nbytes in writes:
+                        executor: CampaignExecutor | None) -> None:
+    """Account the writes workers made into ``store``."""
+    routed = 0
+    for _, ok, nbytes in writes:
         if ok:
             store.note_routed_write(nbytes)
-            accepted.append(index)
+            routed += 1
     if executor is not None:
-        executor.tasks_routed += len(accepted)
-    return accepted
+        executor.tasks_routed += routed
 
 
-def _dispatch_pipe(manifest: Sequence[SessionTask], indices: list[int],
-                   keys: list[str | None], workers: int, results: list[Any],
-                   executor: CampaignExecutor | None, store: Any) -> None:
-    """Pipe-transport parallel execution of ``indices``, in place.
+def _submit_chunks(pool: ProcessPoolExecutor, chunks: Iterable[list],
+                   mode: str, reduction: Any,
+                   futures: list[tuple[Any, int, str | None]]) -> None:
+    """Submit every chunk to its worker body, appending ``(future, chunk
+    length, shm name prefix or None)`` to ``futures`` as it goes.
 
-    Results pickle back whole; completed chunks stream in, and the
-    parent writes keyed results to ``store`` as they land.
+    Shm segment names are chosen here, before dispatch
+    (``repro-<pid>-<run>-c<chunk>-<k>``), so cleanup after a failure or
+    worker crash needs no information back from the workers.
     """
-    chunks = _grouped_chunks([(i, manifest[i], None) for i in indices],
-                             dispatch_chunksize(len(indices), workers))
+    global _SHM_RUN
+    _SHM_RUN += 1
+    for n, chunk in enumerate(chunks):
+        prefix = None
+        if mode == "reduce":
+            future = pool.submit(_execute_chunk_reduced, chunk, reduction)
+        elif mode == "pipe":
+            future = pool.submit(_execute_chunk_plain, chunk)
+        else:
+            prefix = f"{_SHM_PREFIX}-{os.getpid()}-{_SHM_RUN}-c{n}"
+            future = pool.submit(_execute_chunk_shm, chunk, prefix)
+        futures.append((future, len(chunk), prefix))
 
-    def _collect(pool: ProcessPoolExecutor) -> None:
-        futures = [pool.submit(_execute_chunk_plain, chunk) for chunk in chunks]
-        for future in as_completed(futures):
-            for index, value in future.result():
-                results[index] = value
-                if keys[index] is not None:
-                    store.put(keys[index], value, task=manifest[index])
 
-    _in_pool(_collect, executor, workers, len(indices))
-
-
-def _run_reduced(manifest: list[SessionTask], workers: int, store: Any,
-                 executor: CampaignExecutor | None, reduction: Any) -> Any:
-    """Reducing execution: fold every session into one merged sketch.
-
-    The parent sweeps the manifest in order, folding store hits locally
-    (one decoded result live at a time) and absorbing workers' per-task
-    sketches from the ordered chunk stream, so the left-fold order — and
-    the merged sketch, byte for byte — matches the serial run for any
-    worker count.  Workers that share the store also write their full
-    results into it.  With a store, the merged
-    campaign-level sketch is memoized under
-    :func:`repro.store.keys.reduce_key`; a later identical call is a
-    single store read.
+def _chunk_outcomes(futures: list[tuple[Any, int, str | None]], mode: str,
+                    store: Any, executor: CampaignExecutor | None,
+                    ) -> Iterator[tuple[int, Any]]:
+    """``(index, value)`` pairs of the submitted chunks, taken in
+    submission order (which is manifest order).  Values are sketches in
+    ``"reduce"`` mode; worker writes are accounted as each chunk lands.
     """
-    stats = reduction.stats if isinstance(getattr(reduction, "stats", None), dict) else None
-    n_tasks = len(manifest)
-    keys = ([store.task_key(task) for task in manifest] if store is not None
-            else [None] * n_tasks)
+    for future, _, _ in futures:
+        out = future.result()
+        if mode == "pipe":
+            yield from out
+            continue
+        if mode == "reduce":
+            pairs, writes = out
+        else:
+            segments, plain, writes = out
+            pairs = _attach_shm_payload(segments, plain)
+        _note_worker_writes(writes, store, executor)
+        yield from pairs
 
-    # Campaign-level sketch memo: one entry covering the whole manifest.
-    memo_state = "off"
-    memo_key = None
-    if (store is not None and manifest and hasattr(reduction, "fingerprint")
-            and all(key is not None for key in keys)):
-        from repro.store.keys import reduce_key
 
-        memo_key = reduce_key(reduction.fingerprint(), keys, salt=store.salt)
-        memo_state = "miss"
-        if store.contains(memo_key):
+def _abandon_chunks(futures: list[tuple[Any, int, str | None]]) -> None:
+    """After a failure: cancel the chunks not started, wait out the
+    in-flight ones, and sweep every shm name a chunk could have created
+    (a chunk makes at most one cohort arena plus one packed arena per
+    distinct stray trace shape, <= chunk length)."""
+    for future, _, _ in futures:
+        future.cancel()
+    for future, size, prefix in futures:
+        if not future.cancelled():
             try:
-                cached = store.get(memo_key)
-            except KeyError:
+                future.result()
+            except BaseException:
                 pass
-            else:
-                if hasattr(cached, "groups") and hasattr(cached, "merge"):
-                    if stats is not None:
-                        stats.update(sessions=n_tasks, folded_local=0,
-                                     folded_workers=0, memo="hit")
-                    return cached
-
-    acc: Any = None
-    folded_local = 0
-    folded_workers = 0
-
-    def _fold_local(index: int, value: Any) -> None:
-        nonlocal acc, folded_local
-        sketch = reduction.fold(manifest[index], value)
-        acc = sketch if acc is None else reduction.merge(acc, sketch)
-        folded_local += 1
-
-    def _absorb(sketch: Any) -> None:
-        nonlocal acc, folded_workers
-        acc = sketch if acc is None else reduction.merge(acc, sketch)
-        folded_workers += 1
-
-    hit = [key is not None and store.contains(key) for key in keys] \
-        if store is not None else [False] * n_tasks
-    n_miss = hit.count(False)
-
-    def _miss_entries(writes: bool) -> Iterator[tuple[int, SessionTask, str | None]]:
-        # Lazy, so the sweep holds no per-miss entry list.
-        return ((index, manifest[index], keys[index] if writes else None)
-                for index in range(n_tasks) if not hit[index])
-
-    def _fold_hit(index: int) -> None:
-        try:
-            value = store.get(keys[index])
-        except KeyError:  # evicted/corrupted since the probe
-            value = manifest[index].execute()
-            store.put(keys[index], value, task=manifest[index])
-        _fold_local(index, value)
-
-    if workers == 1 or n_miss <= 1:
-        # Serial sweep with cohort execution: misses stream out of
-        # grouped chunks (ascending, since grouping preserves entry
-        # order) and interleave with hit folds in manifest order.
-        miss_chunks = _grouped_chunks(_miss_entries(True), _MAX_CHUNK)
-        stream = (item for chunk in miss_chunks for item in _chunk_values(chunk))
-        for index in range(n_tasks):
-            if hit[index]:
-                _fold_hit(index)
-                continue
-            out_index, task, key, value = next(stream)
-            if out_index != index:
-                raise RuntimeError(
-                    f"reduce stream out of order: got task {out_index}, "
-                    f"expected {index}")
-            if store is not None and key is not None:
-                store.put(key, value, task=task)
-            _fold_local(index, value)
-    else:
-        writes = store is not None and (executor is None
-                                        or executor.routes_for(store))
-        chunks = _grouped_chunks(_miss_entries(writes),
-                                 dispatch_chunksize(n_miss, workers))
-
-        def _sweep(pool: ProcessPoolExecutor) -> None:
-            futures = [pool.submit(_execute_chunk_reduced, chunk, reduction)
-                       for chunk in chunks]
-
-            def _outcomes() -> Iterable[tuple[int, Any]]:
-                for future in futures:
-                    sketches, done = future.result()
-                    _note_worker_writes(done, store, executor)
-                    yield from sketches
-
-            stream = _outcomes()
-            for index in range(n_tasks):
-                if hit[index]:
-                    _fold_hit(index)
-                    continue
-                out_index, sketch = next(stream)
-                if out_index != index:
-                    raise RuntimeError(
-                        f"reduce stream out of order: got task {out_index}, "
-                        f"expected {index}")
-                _absorb(sketch)
-
-        _in_pool(_sweep, executor, workers, n_miss,
-                 (_store_config(store) if writes else None,))
-
-    if acc is None:
-        acc = reduction.empty() if hasattr(reduction, "empty") else None
-    if memo_key is not None and acc is not None and memo_state == "miss":
-        if store.put(memo_key, acc, label=f"reduce[{n_tasks}]"):
-            memo_state = "write"
-    if stats is not None:
-        stats.update(sessions=n_tasks, folded_local=folded_local,
-                     folded_workers=folded_workers, memo=memo_state)
-    return acc
+        if prefix is not None:
+            _cleanup_shm_chunk(prefix, size + 1)
 
 
 def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
@@ -1157,22 +1008,26 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
     bit-identical to the serial run for any worker count.
 
     ``store`` (a :class:`repro.store.TraceStore`) turns the call into a
-    memoized run: the manifest is partitioned into hits — served from
-    the store without touching the process pool — and misses, which are
-    executed and written back.  On a parallel run the workers write
-    their own results into the store whenever they share it (a
-    transient pool, or an ``executor`` opened on the same store), and
-    the parent writes the rest; it never reads a result back.  Tasks
-    whose kwargs cannot be fingerprinted, or whose results the store
-    codec does not cover, execute normally every time; the returned
-    list is identical to an uncached run either way.
+    memoized run.  Exact and reduced runs share one ordered sweep: the
+    manifest splits once into hits and misses (each keyed task counts
+    one lookup, as a hit or as a miss); the sweep walks the manifest,
+    reading each hit when it reaches its index and taking each miss
+    from one stream — serial chunks in the parent, or pool chunks in
+    submission order.  A hit that fails verification is recomputed and
+    written back.  Workers holding the run's store (a transient pool,
+    or an ``executor`` opened on it) write their own results; the
+    parent writes serial results and those of the pipe transport, and
+    never reads a result back.  An ``executor`` opened on another store
+    is a ``ValueError``.  Tasks whose kwargs cannot be fingerprinted,
+    or whose results the store codec does not cover, execute normally
+    every time; the result is identical to an uncached run either way.
 
     ``executor`` (a :class:`CampaignExecutor`) supplies a persistent
     pool shared across calls; it overrides ``jobs`` with its own worker
     count.  ``transport`` selects how parallel results travel back:
-    ``"auto"`` maps them from shared memory (:func:`_dispatch_shm`),
-    falling back to the pipe on platforms without POSIX shm, and
-    ``"pipe"`` forces the legacy pickle-the-result path.
+    ``"auto"`` maps them from shared memory, falling back to the pipe on
+    platforms without POSIX shm, and ``"pipe"`` forces the legacy
+    pickle-the-result path.
 
     ``reduce`` (e.g. a :class:`repro.core.reduce.CampaignReduction`)
     switches the call into streaming-reduction mode: instead of the
@@ -1181,54 +1036,116 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
     manifest order.  Results are never materialized in the parent —
     peak memory is bounded by one in-flight result per worker — and the
     merged sketch is byte-identical for any ``jobs``/transport
-    combination.  With a store, misses still warm the cache and the
-    campaign-level sketch itself is memoized.
+    combination.  With a store, the campaign-level sketch is memoized
+    under :func:`repro.store.keys.reduce_key` (one lookup; a warm call
+    is a single store read), and misses still warm the session cache.
     """
     if transport not in ("auto", "pipe"):
         raise ValueError(f"transport must be 'auto' or 'pipe', got {transport!r}")
+    if reduce is not None and not (callable(getattr(reduce, "fold", None))
+                                   and callable(getattr(reduce, "merge", None))):
+        raise TypeError("reduce must provide fold(task, value) and merge(acc, sketch)")
+    if store is not None and executor is not None and not executor.routes_for(store):
+        raise ValueError(f"store {store.root} is not the executor's store "
+                         f"({getattr(executor.store, 'root', None)})")
     manifest = list(tasks)
+    n_tasks = len(manifest)
     workers = executor.workers if executor is not None else resolve_jobs(jobs)
-    if reduce is not None:
-        if not (callable(getattr(reduce, "fold", None))
-                and callable(getattr(reduce, "merge", None))):
-            raise TypeError("reduce must provide fold(task, value) and merge(acc, sketch)")
-        return _run_reduced(manifest, workers, store, executor, reduce)
-
     keys = ([store.task_key(task) for task in manifest] if store is not None
-            else [None] * len(manifest))
-    results: list[Any] = [None] * len(manifest)
-    miss_indices: list[int] = []
-    for index, key in enumerate(keys):
-        if key is not None:
+            else [None] * n_tasks)
+    stats = reduce.stats if isinstance(getattr(reduce, "stats", None), dict) else None
+
+    memo_key = None
+    if (reduce is not None and store is not None and manifest
+            and hasattr(reduce, "fingerprint") and None not in keys):
+        from repro.store.keys import reduce_key
+
+        memo_key = reduce_key(reduce.fingerprint(), keys, salt=store.salt)
+        cached = None
+        if store.probe(memo_key):
             try:
-                results[index] = store.get(key)
-                continue
+                cached = store.get(memo_key)
             except KeyError:
                 pass
-        miss_indices.append(index)
+        if hasattr(cached, "groups") and hasattr(cached, "merge"):
+            if stats is not None:
+                stats.update(sessions=n_tasks, folded_local=0, folded_workers=0,
+                             memo="hit")
+            return cached
 
-    if workers == 1 or len(miss_indices) <= 1:
-        # Serial path: execute in manifest order (cohort runs as tensor
-        # passes), stream each write.
-        miss_chunks = _grouped_chunks(
-            [(i, manifest[i], keys[i]) for i in miss_indices], _MAX_CHUNK)
-        for chunk in miss_chunks:
-            for index, task, key, value in _chunk_values(
-                    chunk, arena_factory=_local_arena_factory):
+    hit = [key is not None and store.probe(key) for key in keys]
+    n_miss = hit.count(False)
+    mode = ("serial" if workers == 1 or n_miss <= 1
+            else "reduce" if reduce is not None
+            else "shm" if transport == "auto" and shm_transport_available()
+            else "pipe")
+    # Workers holding the run's store write their own results; the
+    # parent writes what it computed itself and what the pipe returns.
+    parent_writes = mode in ("serial", "pipe")
+    # Lazy, so a serial sweep holds one chunk's entries, not the manifest's.
+    chunks = _grouped_chunks(
+        ((index, manifest[index], keys[index]) for index in range(n_tasks)
+         if not hit[index]),
+        _MAX_CHUNK if mode == "serial" else dispatch_chunksize(n_miss, workers))
+    results: list[Any] = [None] * n_tasks if reduce is None else []
+    acc: Any = None
+    folded_local = folded_workers = 0
+
+    def sweep(misses: Iterator[tuple[int, Any]]) -> None:
+        nonlocal acc, folded_local, folded_workers
+        for index, task in enumerate(manifest):
+            key = keys[index]
+            if hit[index]:
+                try:
+                    value, write = store.get(key), False
+                except KeyError:  # failed verification, or evicted since the probe
+                    value, write = task.execute(), True
+            else:
+                got, value = next(misses)
+                if got != index:
+                    raise RuntimeError(
+                        f"miss stream out of order: got task {got}, expected {index}")
+                write = parent_writes
+            if write and key is not None:
+                store.put(key, value, task=task)
+            if reduce is None:
                 results[index] = value
-                if key is not None:
-                    store.put(key, value, task=task)
-    elif transport == "auto" and shm_transport_available():
-        # Workers that share the store write keyed results themselves;
-        # the parent writes whatever they did not.
-        shared = executor is None or executor.routes_for(store)
-        written = _dispatch_shm(
-            [(i, manifest[i], keys[i] if shared else None) for i in miss_indices],
-            workers, results, executor, store)
-        for index in miss_indices:
-            if keys[index] is not None and index not in written:
-                store.put(keys[index], results[index], task=manifest[index])
+                continue
+            if hit[index] or mode != "reduce":  # else a worker's sketch
+                value = reduce.fold(task, value)
+                folded_local += 1
+            else:
+                folded_workers += 1
+            acc = value if acc is None else reduce.merge(acc, value)
+        for got, _ in misses:  # run the stream to its end, and its checks
+            raise RuntimeError(f"miss stream has an extra task {got}")
+
+    if mode == "serial":
+        arena_factory = None if reduce is not None else _local_arena_factory
+        sweep((index, value) for chunk in chunks
+              for index, _, _, value in _chunk_values(chunk, arena_factory))
     else:
-        _dispatch_pipe(manifest, miss_indices, keys, workers, results,
-                       executor, store)
-    return results
+        def body(pool: ProcessPoolExecutor) -> None:
+            futures: list[tuple[Any, int, str | None]] = []
+            try:
+                _submit_chunks(pool, chunks, mode, reduce, futures)
+                sweep(_chunk_outcomes(futures, mode, store, executor))
+            except BaseException:
+                _abandon_chunks(futures)
+                raise
+
+        _in_pool(body, executor, workers, n_miss,
+                 None if parent_writes else (_store_config(store),))
+
+    if reduce is None:
+        return results
+    if acc is None:
+        acc = reduce.empty() if hasattr(reduce, "empty") else None
+    memo_state = "off" if memo_key is None else "miss"
+    if memo_key is not None and acc is not None:
+        if store.put(memo_key, acc, label=f"reduce[{n_tasks}]"):
+            memo_state = "write"
+    if stats is not None:
+        stats.update(sessions=n_tasks, folded_local=folded_local,
+                     folded_workers=folded_workers, memo=memo_state)
+    return acc

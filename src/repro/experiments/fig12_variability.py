@@ -42,8 +42,7 @@ def run(seed: int = 2024, quick: bool = True, jobs: int | str = 1,
         from repro.core.reduce import CampaignReduction
 
         reduction = CampaignReduction(group_mode="label",
-                                      variability_kpis=_KPI_NAMES,
-                                      max_scale_ms=2048.0)
+                                      variability_kpis=_KPI_NAMES)
         sketch = run_tasks(manifest, jobs=jobs, store=store, executor=executor,
                            reduce=reduction)
         for key in FIG12_KEYS:

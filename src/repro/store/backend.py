@@ -191,14 +191,20 @@ class TraceStore:
         self.hits += 1
         return value
 
-    def contains(self, key: str) -> bool:
-        """Cheap existence probe (sidecar stat, no verification).
+    def probe(self, key: str) -> bool:
+        """Cheap existence probe (sidecar stat, no verification) that
+        opens one lookup: an absent key counts as a miss here, a present
+        one counts when :meth:`get` reads it (a hit, or a miss if it
+        fails verification).
 
         A ``True`` here is advisory — the entry can still fail its hash
         check or vanish under concurrent eviction by the time it is
         read; callers must keep a recompute fallback.
         """
-        return self._paths(key)[1].exists()
+        if self._paths(key)[1].exists():
+            return True
+        self.misses += 1
+        return False
 
     def read(self, key: str) -> Any:
         """Retired: the runner no longer reads worker-written results

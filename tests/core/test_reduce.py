@@ -184,7 +184,23 @@ class TestCampaignReductionFold:
         b = CampaignReduction(group_mode="campaign")
         b.stats["sessions"] = 99
         assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != CampaignReduction(quantile_bins=512).fingerprint()
+        assert a.fingerprint() != CampaignReduction(group_mode="label").fingerprint()
+        assert a.fingerprint() != CampaignReduction(
+            group_mode="campaign", variability_kpis=("mcs",)).fingerprint()
+
+    def test_fingerprint_bytes_pinned(self):
+        """Memo entries written before the binning options became
+        constants must still hit: the fingerprint keeps every key."""
+        assert CampaignReduction().fingerprint() == (
+            '{"group_mode":"campaign","max_scale_ms":2048.0,'
+            '"min_valid_fraction":0.5,"quantile_bins":1024,"quantile_hi":4096.0,'
+            '"quantile_lo":0.0,"sketch_version":1,"variability_kpis":[]}')
+        assert CampaignReduction(group_mode="label",
+                                 variability_kpis=("throughput", "mcs")).fingerprint() == (
+            '{"group_mode":"label","max_scale_ms":2048.0,'
+            '"min_valid_fraction":0.5,"quantile_bins":1024,"quantile_hi":4096.0,'
+            '"quantile_lo":0.0,"sketch_version":1,'
+            '"variability_kpis":["throughput","mcs"]}')
 
 
 class TestReducedRunTasks:
@@ -202,6 +218,24 @@ class TestReducedRunTasks:
             routed = self._sketch_bytes(store=store, executor=executor)
             assert executor.stats()["tasks_routed"] == len(_manifest())
         assert serial == parallel == routed
+        # A warm store: the campaign memo replays it at jobs 1 and 2 ...
+        for jobs in (1, 2):
+            warm_store = TraceStore(tmp_path / "cache")
+            assert self._sketch_bytes(jobs=jobs, store=warm_store) == serial
+            assert (warm_store.hits, warm_store.misses) == (1, 0)
+        # ... and without the memo every session is a hit folded in order.
+        from repro.store.keys import reduce_key
+
+        fingerprint = CampaignReduction(group_mode="campaign",
+                                        variability_kpis=("throughput",)).fingerprint()
+        memo = reduce_key(fingerprint, [store.task_key(t) for t in _manifest()],
+                          salt=store.salt)
+        for jobs in (1, 2):
+            for path in (store.root / "objects" / memo[:2]).glob(f"{memo}.*"):
+                path.unlink()
+            warm_store = TraceStore(tmp_path / "cache")
+            assert self._sketch_bytes(jobs=jobs, store=warm_store) == serial
+            assert (warm_store.hits, warm_store.misses) == (len(_manifest()), 1)
 
     def test_summary_matches_exact_path(self):
         traces = run_tasks(_manifest(), jobs=1)

@@ -221,3 +221,25 @@ class TestCampaignExecutor:
         with CampaignExecutor(jobs=3) as executor:
             text = executor.render_stats()
         assert "workers=3" in text and "routed=" in text
+
+
+def test_prewarm_worker_caches_warms_every_full_grant():
+    """The pool initializer's prewarm raises nothing and leaves every
+    profile's full-grant TBS matrices, DL and UL, in the cache."""
+    from repro.core.runner import prewarm_worker_caches
+    from repro.nr.tbs import clear_tbs_matrix_cache, tbs_matrix_cache_stats
+    from repro.nr.tdd import SlotType
+    from repro.operators.profiles import ALL_PROFILES
+    from repro.ran.simulator import prewarm_tbs_matrices
+
+    clear_tbs_matrix_cache()
+    prewarm_worker_caches()
+    warm = tbs_matrix_cache_stats()
+    assert warm["entries"] > 0
+    for profile in ALL_PROFILES.values():
+        prewarm_tbs_matrices(profile.primary_cell, SlotType.DL)
+        prewarm_tbs_matrices(profile.primary_cell, SlotType.UL,
+                             max_layers=profile.ul_max_layers)
+    after = tbs_matrix_cache_stats()
+    assert after["misses"] == warm["misses"]
+    assert after["hits"] > warm["hits"]

@@ -3,7 +3,9 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from repro.core.reduce import CampaignReduction
 from repro.core.runner import CampaignExecutor, SessionTask, derive_seed, run_tasks
 from repro.store import TraceStore
 from repro.store.codec import encode
@@ -101,20 +103,39 @@ class TestMemoizedRunTasks:
         assert run_tasks([task], store=store) == [42]
         assert store.stats().entries == 0  # int results are not cacheable
 
-    def test_corruption_recomputes_and_heals(self, tmp_path):
-        manifest = _manifest(tmp_path, n_tasks=1)
+    @pytest.mark.parametrize("reduce", [False, True], ids=["exact", "reduce"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corruption_recomputes_and_heals(self, tmp_path, jobs, reduce):
+        """One sweep for both modes: a hit that fails verification is
+        recomputed once and written back, true misses run (in the pool
+        at jobs=2), and every lookup counts once."""
+        def run(store=None):
+            reduction = CampaignReduction(group_mode="label") if reduce else None
+            out = run_tasks(manifest, jobs=jobs, store=store, reduce=reduction)
+            return [encode(out)] if reduce else [encode(r) for r in out]
+
+        manifest = _manifest(tmp_path)
+        run_tasks(manifest, store=TraceStore(tmp_path / "cache"))  # sessions only
         store = TraceStore(tmp_path / "cache")
-        run_tasks(manifest, store=store)
-        key = store.task_key(manifest[0])
+        key = store.task_key(manifest[1])
         payload = store.root / "objects" / key[:2] / f"{key}.npz"
         payload.write_bytes(b"\x00" * payload.stat().st_size)
-        healed = run_tasks(manifest, store=store)
-        assert _executions(tmp_path) == 2  # recomputed exactly once
+        for task in manifest[2:]:
+            gone = store.task_key(task)
+            for path in (store.root / "objects" / gone[:2]).glob(f"{gone}.*"):
+                path.unlink()
+        healed = run(store)
+        assert _executions(tmp_path) == 4 + 3  # tasks 1-3 recomputed exactly once
         assert store.stats().quarantined == 1
+        # task 0 hit; task 1 failed verification; tasks 2-3 and the memo missed
+        assert (store.hits, store.misses) == (1, 3 + reduce)
+        assert store.stats().entries == 4 + reduce
         # ... and the store is healed: next run hits again.
-        run_tasks(manifest, store=store)
-        assert _executions(tmp_path) == 2
-        _assert_same_results(healed, run_tasks(manifest))
+        warm_store = TraceStore(tmp_path / "cache")
+        assert run(warm_store) == healed
+        assert _executions(tmp_path) == 7
+        assert (warm_store.hits, warm_store.misses) == (1 if reduce else 4, 0)
+        assert healed == run()
 
     def test_key_excludes_label_so_renames_still_hit(self, tmp_path):
         store = TraceStore(tmp_path / "cache")
@@ -148,17 +169,21 @@ class TestStoreRoutedTransport:
             run_tasks(_manifest(tmp_path), store=store, executor=executor)
         assert _executions(tmp_path) == 4
 
-    def test_mismatched_store_falls_back_to_pipe(self, tmp_path):
-        """An executor warmed for one store must not write into another."""
+    @pytest.mark.parametrize("reduce", [False, True], ids=["exact", "reduce"])
+    def test_mismatched_store_rejected(self, tmp_path, reduce):
+        """An executor warmed for one store must not run for another:
+        the call fails before anything runs, and both stores stay empty."""
         pool_store = TraceStore(tmp_path / "pool-cache")
         other = TraceStore(tmp_path / "other-cache")
-        manifest = _manifest(tmp_path)
+        reduction = CampaignReduction(group_mode="label") if reduce else None
         with CampaignExecutor(jobs=2, store=pool_store) as executor:
-            results = run_tasks(manifest, store=other, executor=executor)
-            assert executor.stats()["tasks_routed"] == 0
-        assert other.stats().entries == 4  # the parent wrote them instead
-        assert pool_store.stats().entries == 0
-        _assert_same_results(results, run_tasks(manifest))
+            with pytest.raises(ValueError, match="not the executor's store"):
+                run_tasks(_manifest(tmp_path), store=other, executor=executor,
+                          reduce=reduction)
+            assert executor.stats()["dispatches"] == 0
+        assert executor.pools_created == 0 and _executions(tmp_path) == 0
+        assert other.stats().entries == pool_store.stats().entries == 0
+        assert other.misses == pool_store.misses == 0
 
     def test_transient_pool_routes_without_executor(self, tmp_path):
         store = TraceStore(tmp_path / "cache")

@@ -95,6 +95,26 @@ class TestCacheFlag:
         assert "misses=0" in warm.err
         assert "hits=0" in cold.err
 
+    @pytest.mark.parametrize("reduce", [False, True], ids=["exact", "reduce"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cache_line_counts_every_lookup(self, tmp_path, capsys, jobs, reduce):
+        """fig01 simulates 9 sessions.  Exact and reduced runs count one
+        lookup per session; a reduced run also counts its memo lookup,
+        and a warm one reads only the memo."""
+        argv = ["run", "fig01", "--jobs", jobs, "--cache", str(tmp_path / "cache")]
+        argv += ["--reduce"] if reduce else []
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert f"[cache] hits=0 misses={10 if reduce else 9} " in cold.err
+        assert f"[cache] hits={1 if reduce else 9} misses=0 " in warm.err
+
+        def rows(text):  # drop the wall-time lines
+            return [line for line in text.splitlines() if not line.startswith("   [")]
+
+        assert rows(cold.out) == rows(warm.out)
+
     def test_campaign_warm_cache_byte_identical_export(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
