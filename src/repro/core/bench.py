@@ -416,6 +416,10 @@ def _measure_campaign(quick: bool, seed: int,
 
     workers = resolve_jobs(jobs)
     cold_reps = 2 if quick else 3
+    # ``jobs1_cold`` normalizes the gate and ``jobs1_warm`` is held to a
+    # floor against it; a quick run of them takes 0.03-0.2 s, so quick
+    # mode keeps the best of more repetitions.
+    jobs1_cold_reps, jobs1_warm_reps = (6, 6) if quick else (cold_reps, 2)
     run_tasks(campaign_tasks(True, seed + 9)[:2], jobs=1)  # untimed warmup
 
     workloads: dict[str, Any] = {}
@@ -426,10 +430,10 @@ def _measure_campaign(quick: bool, seed: int,
         n = len(serial)
         workloads["jobs1_cold"] = _best_of(
             (partial(run_tasks, serial, jobs=1, store=TraceStore(tmp / f"jobs1-{rep}"))
-             for rep in range(cold_reps)), n)
+             for rep in range(jobs1_cold_reps)), n)
         workloads["jobs1_warm"] = _best_of(
-            [partial(run_tasks, serial, jobs=1, store=TraceStore(tmp / "jobs1-0"))] * 2,
-            n, cold=False)
+            [partial(run_tasks, serial, jobs=1, store=TraceStore(tmp / "jobs1-0"))]
+            * jobs1_warm_reps, n, cold=False)
 
         pipe = campaign_tasks(quick, seed + 1)
         workloads["pipe_cold"] = _best_of(
@@ -484,6 +488,7 @@ def _measure_campaign(quick: bool, seed: int,
         "n_sessions": n,
         "jobs": workers,
         "cold_reps": cold_reps,
+        "jobs1_reps": jobs1_cold_reps,
         "seed": seed,
         "cpu_count": os.cpu_count() or 1,
     }

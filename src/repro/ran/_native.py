@@ -10,15 +10,27 @@ library with the system C compiler and loads it through :mod:`ctypes`.
 The library has two entry points:
 
 - ``repro_run_periods`` (:func:`load_period_loop`, state in
-  :class:`SessionLoop`) runs a chunk of whole CQI periods of one
-  session; :mod:`repro.ran.simulator` drives it.
+  :class:`SessionLoop`) runs every CQI period of one session;
+  :mod:`repro.ran.simulator` drives it.
 - ``repro_retx_period`` (:func:`load_kernel`) advances the dirty
   columns of one period of the cohort tensor engine
   (:mod:`repro.ran.tensor`).
 
-When the library is unavailable — no compiler, a failed build or a
-failed load — :func:`repro.ran.config.resolve_engine` runs every
-session on the per-session reference engine instead (same bytes), and
+The period loop evaluates the logistic error probability itself
+(``repro_error_probability``), but its ``exp`` must be numpy's: libm
+rounds differently.  So :func:`load_kernel` resolves numpy's own
+float64 ``exp`` inner loop from the ``np.exp`` ufunc object
+(:class:`_UFuncHead` mirrors the leading public fields of
+``PyUFuncObject``, so nothing is built against ``Python.h``) and hands
+the C code that function pointer.  It then runs a probe
+(:func:`_probe_error_probability`): the C evaluation must equal
+:meth:`repro.ran.amc.BlerModel.error_probability_given_capacity` bit
+for bit, or the kernel counts as unavailable.
+
+When the library is unavailable — no compiler, a failed build or load,
+an unresolved exp loop or a failed probe —
+:func:`repro.ran.config.resolve_engine` runs every session on the
+per-session reference engine instead (same bytes), and
 :func:`kernel_status` says why, so the bench report and the tensor
 engine's error message can name the cause.
 
@@ -53,10 +65,11 @@ _SOURCE = Path(__file__).with_name("_retx_kernel.c")
 #: drift from the Python engines in the last bit.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_state: dict[str, Any] = {"loaded": False, "fn": None, "loop": None, "error": None,
-                          "fallback_sessions": 0}
+_state: dict[str, Any] = {"loaded": False, "fn": None, "loop": None, "exp": None,
+                          "evaluate": None, "error": None, "fallback_sessions": 0}
 
 _i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 
 #: ``repro_retx_period`` signature — positional groups mirror the C
@@ -74,6 +87,10 @@ _ARGTYPES = [
     _ptr, _ptr, _ptr, _ptr, _ptr,                 # ev col/slot/tbs/ok/retx
     _ptr,                                         # counts
 ]
+
+#: ``repro_error_probability(eff, cap, n, bias, slope, exp_loop,
+#: exp_data, out)``.
+_ERROR_PROBABILITY_ARGTYPES = [_f64, _ptr, _i64, _f64, _f64, _ptr, _ptr, _ptr]
 
 
 def _cache_dir() -> Path:
@@ -110,13 +127,73 @@ def _build(source: Path, out: Path) -> None:
             os.unlink(tmp)
 
 
+class _UFuncHead(ctypes.Structure):
+    """The leading public fields of numpy's ``PyUFuncObject``
+    (``numpy/ufuncobject.h``), which start right after the object
+    header, at ``object.__basicsize__``."""
+
+    _fields_ = [("nin", ctypes.c_int), ("nout", ctypes.c_int),
+                ("nargs", ctypes.c_int), ("identity", ctypes.c_int),
+                ("functions", ctypes.POINTER(_ptr)), ("data", ctypes.POINTER(_ptr)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p), ("types", ctypes.POINTER(ctypes.c_char))]
+
+
+def _float64_loop(ufunc: np.ufunc) -> tuple[int, int]:
+    """``(functions[k], data[k])`` of ``ufunc``'s first inner loop whose
+    operand types are all ``NPY_DOUBLE``: the function numpy calls for
+    float64 arrays, already dispatched to this host's SIMD path."""
+    head = _UFuncHead.from_address(id(ufunc) + object.__basicsize__)
+    if ((head.nin, head.nout, head.nargs) != (ufunc.nin, ufunc.nout, ufunc.nargs)
+            or head.name != ufunc.__name__.encode()):
+        raise RuntimeError(f"np.{ufunc.__name__}: ufunc layout not recognized")
+    want = bytes([np.dtype(np.float64).num]) * head.nargs
+    for k in range(head.ntypes):
+        if head.types[k * head.nargs:(k + 1) * head.nargs] == want:
+            return head.functions[k], head.data[k] or 0
+    raise RuntimeError(f"np.{ufunc.__name__} has no float64 loop")
+
+
+def _exp_loop() -> tuple[int, int]:
+    """numpy's float64 ``exp`` inner loop, as ``(function, data)``."""
+    return _float64_loop(np.exp)
+
+
+def _probe_error_probability(evaluate, exp: tuple[int, int]) -> None:
+    """Raise ``RuntimeError`` unless ``repro_error_probability`` through
+    ``exp`` equals :meth:`BlerModel.error_probability_given_capacity`
+    bit for bit: every MCS efficiency, over windows of 1..64 slots laid
+    end to end across capacities that reach both the saturated
+    (p = 1.0) and the exp-overflow (p = 0.0) regions."""
+    from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM
+    from repro.ran.amc import BlerModel
+
+    bler = BlerModel()
+    effs = sorted({entry.spectral_efficiency
+                   for table in (MCS_TABLE_64QAM, MCS_TABLE_256QAM) for entry in table})
+    bounds = np.cumsum(np.arange(65))  # window w covers [bounds[w-1], bounds[w])
+    cap = np.random.default_rng(0).uniform(-80.0, 90.0, int(bounds[-1]))
+    expected, got = np.empty(cap.size), np.empty(cap.size)
+    windows = [(lo * cap.itemsize, hi - lo)
+               for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    cap_at, got_at = cap.ctypes.data, got.ctypes.data
+    for eff in effs:
+        with np.errstate(over="ignore"):
+            bler.error_probability_given_capacity(eff, cap, out=expected)
+        for offset, n in windows:
+            evaluate(eff, cap_at + offset, n, bler.bias, bler.slope, *exp, got_at + offset)
+        if got.tobytes() != expected.tobytes():
+            raise RuntimeError("repro_error_probability differs from "
+                               f"BlerModel.error_probability_given_capacity at eff={eff}")
+
+
 def load_kernel():
     """The compiled cohort retx kernel, or ``None`` when unavailable.
 
     First call compiles (or reuses the cached build) the whole library,
-    both entry points, and memoizes the outcome — including failures,
-    so a broken toolchain costs one attempt per process, not one per
-    period.
+    both entry points, resolves numpy's exp loop for the period loop
+    and probes it; it memoizes the outcome — including failures, so a
+    broken toolchain costs one attempt per process, not one per period.
     """
     if _state["loaded"]:
         return _state["fn"]
@@ -133,12 +210,22 @@ def load_kernel():
         fn.argtypes = _ARGTYPES
         loop = lib.repro_run_periods
         loop.restype = _i64
-        loop.argtypes = [ctypes.POINTER(SessionLoop), _i64, _i64]
+        loop.argtypes = [ctypes.POINTER(SessionLoop)]
+        evaluate = lib.repro_error_probability
+        evaluate.restype = None
+        evaluate.argtypes = _ERROR_PROBABILITY_ARGTYPES
+        try:
+            exp = _exp_loop()
+            _probe_error_probability(evaluate, exp)
+        except Exception as exc:  # noqa: BLE001 - name the exp loop in the error
+            raise RuntimeError(f"numpy exp loop unusable: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - any failure means no kernel
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None
     _state["fn"] = fn
     _state["loop"] = loop
+    _state["exp"] = exp
+    _state["evaluate"] = evaluate
     return fn
 
 
@@ -147,22 +234,38 @@ def load_period_loop():
     unavailable (same library and memoized outcome as
     :func:`load_kernel`).
 
-    ``loop(ctypes.byref(state), chunk_lo, chunk_hi)`` runs periods
-    ``[state.p, chunk_hi)`` and returns :data:`CHUNK_DONE`,
-    :data:`NEED_ROOM` (widen the HARQ lane, call again) or the index of
-    an error-probability row the next period needs (fill a buffer over
-    the chunk, point ``row_ptr[row]`` at it, call again).
+    ``loop(ctypes.byref(state))`` runs periods ``[state.p, n_periods)``
+    and returns :data:`LOOP_DONE`, or :data:`NEED_ROOM` (widen the HARQ
+    lane, call again).  ``state.exp_loop`` / ``state.exp_data`` must
+    hold :func:`exp_loop`.
     """
     if load_kernel() is None:
         return None
     return _state["loop"]
 
 
-#: ``repro_run_periods`` return codes; any value >= 0 is a row request.
-CHUNK_DONE = -1
-NEED_ROOM = -2
+def exp_loop() -> tuple[int, int]:
+    """numpy's float64 exp inner loop ``(function, data)`` that the
+    loaded kernel was probed with (only valid once it loaded)."""
+    return _state["exp"]
 
-_f64 = ctypes.c_double
+
+def error_probability(eff: float, cap: np.ndarray, bias: float, slope: float,
+                      out: np.ndarray) -> np.ndarray:
+    """``repro_error_probability`` of the loaded kernel — the evaluation
+    the period loop runs per period — over the contiguous float64 rows
+    ``cap`` and ``out`` (same size)."""
+    if cap.dtype != np.float64 or out.dtype != np.float64 or cap.size != out.size \
+            or not (cap.flags.c_contiguous and out.flags.c_contiguous):
+        raise TypeError("cap and out must be contiguous float64 rows of one size")
+    _state["evaluate"](eff, cap.ctypes.data, cap.size, bias, slope, *_state["exp"],
+                       out.ctypes.data)
+    return out
+
+
+#: ``repro_run_periods`` return codes.
+LOOP_DONE = 0
+NEED_ROOM = 1
 
 
 #: Trace columns ``repro_run_periods`` writes, in ``session_t`` order;
@@ -172,43 +275,56 @@ TRACE_OUTPUTS = ("scheduled", "is_retx", "error", "n_prb", "n_re", "mcs_index",
                  "cqi", "dci_format")
 
 #: ``session_t`` in declaration order: field names, ctypes type and, for
-#: a pointer, the numpy dtype of the row it points at (``None`` for a
-#: scalar).  A trace row takes its column's schema dtype; ``bool`` is
-#: one byte.
+#: a row pointer, the numpy dtype of the row it points at and how many
+#: elements the loop reads or writes there (``None`` for a scalar or a
+#: function pointer; a LUT's length, ``None`` too, follows from the
+#: shape constants bound with it).  A trace row takes its column's
+#: schema dtype; ``bool`` is one byte.
 _SESSION_LAYOUT = (
-    ("n_slots period", _i64, None),
-    ("measured", _ptr, np.float64),
-    ("cqi prb grant", _ptr, np.int64),
-    ("uniforms retx_uniforms", _ptr, np.float64),
-    ("usable special", _ptr, np.uint8),
-    ("mcs_lut", _ptr, np.int64),
-    ("n_off off_lo n_mcs", _i64, None),
-    ("mod_lut tbs_full tbs_special", _ptr, np.int64),
-    ("n_grants max_layers", _i64, None),
-    ("rank_up rank_keep", _ptr, np.float64),
-    ("n_rank_steps adapter_max", _i64, None),
-    ("beta", _f64, None),
-    ("olla_enabled", _i64, None),
-    ("olla_up olla_down olla_lo olla_hi", _f64, None),
-    ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64, None),
-    ("scale", _f64, None),
-    ("row_ptr", _ptr, np.uintp),
-    ("cap", _i64, None),
-    ("due tbs att", _ptr, np.int64),
-    ("ph", _ptr, np.float64),
-    ("pending", _i64, None),
-    ("dec fm tx", _ptr, np.uint8),
-    ("cum seg_col seg_lo seg_hi ev_col ev_slot ev_tbs", _ptr, np.int64),
-    ("ev_ok ev_retx", _ptr, np.uint8),
-    *((f"t_{name}", _ptr, COLUMN_DTYPES[name]) for name in TRACE_OUTPUTS),
-    ("p rank have_ewma", _i64, None),
-    ("ewma delta", _f64, None),
+    ("n_slots period", _i64, None, None),
+    ("measured", _ptr, np.float64, "n_periods"),
+    ("cqi prb grant", _ptr, np.int64, "n_periods"),
+    ("uniforms retx_uniforms", _ptr, np.float64, "n_slots"),
+    ("usable special", _ptr, np.uint8, "n_slots"),
+    ("eff_cap", _ptr, np.float64, "n_slots"),
+    ("mcs_lut", _ptr, np.int64, None),
+    ("n_off off_lo n_mcs", _i64, None, None),
+    ("eff_lut", _ptr, np.float64, None),
+    ("mod_lut tbs_full tbs_special", _ptr, np.int64, None),
+    ("n_grants max_layers", _i64, None, None),
+    ("rank_up rank_keep", _ptr, np.float64, None),
+    ("n_rank_steps adapter_max", _i64, None, None),
+    ("beta", _f64, None, None),
+    ("olla_enabled", _i64, None, None),
+    ("olla_up olla_down olla_lo olla_hi", _f64, None, None),
+    ("is_qam256 dci_fallback_cqi rtt max_attempts", _i64, None, None),
+    ("scale bias slope", _f64, None, None),
+    ("exp_loop exp_data", _ptr, None, None),
+    ("cap", _i64, None, None),
+    ("due tbs att", _ptr, np.int64, None),
+    ("ph", _ptr, np.float64, None),
+    ("pending", _i64, None, None),
+    ("pe", _ptr, np.float64, "period"),
+    ("dec fm tx", _ptr, np.uint8, "period"),
+    ("cum seg_col seg_lo seg_hi ev_col ev_slot ev_tbs", _ptr, np.int64, "period + 1"),
+    ("ev_ok ev_retx", _ptr, np.uint8, "period + 1"),
+    *((f"t_{name}", _ptr, COLUMN_DTYPES[name], "n_slots") for name in TRACE_OUTPUTS),
+    ("p rank have_ewma", _i64, None, None),
+    ("ewma delta", _f64, None, None),
 )
 
-#: Element dtype of every pointer field of ``session_t``, by field name.
+#: Element dtype of every row pointer field of ``session_t``, by field name.
 ROW_DTYPES: dict[str, np.dtype] = {
-    name: np.dtype(dtype) for names, _, dtype in _SESSION_LAYOUT
+    name: np.dtype(dtype) for names, _, dtype, _ in _SESSION_LAYOUT
     if dtype is not None for name in names.split()}
+
+#: The elements the loop reads or writes at a row pointer, by field
+#: name: ``n_slots``, ``n_periods`` (``ceil(n_slots / period)``),
+#: ``period`` or ``period + 1``.
+ROW_LENGTHS: dict[str, str] = {
+    name: length for names, _, _, length in _SESSION_LAYOUT
+    if length is not None for name in names.split()}
+
 
 
 class SessionLoop(ctypes.Structure):
@@ -217,7 +333,7 @@ class SessionLoop(ctypes.Structure):
     each call passes one pointer.  Field order and types must match the
     C declaration (:data:`_SESSION_LAYOUT`)."""
 
-    _fields_ = [(name, ctype) for names, ctype, _ in _SESSION_LAYOUT
+    _fields_ = [(name, ctype) for names, ctype, _, _ in _SESSION_LAYOUT
                 for name in names.split()]
 
 

@@ -13,19 +13,22 @@
  * - `repro_retx_period` advances every dirty column of one CQI period
  *   of the cohort tensor engine; its caller turns the committed
  *   segments and served/deferred events into trace writes.
- * - `repro_run_periods` runs whole CQI periods of one session: link
+ * - `repro_run_periods` runs every CQI period of one session: link
  *   adaptation (rank EWMA and hysteresis, OLLA offset and update),
- *   decode, the walk, and the trace writes, all in place.
+ *   the error probability, decode, the walk, and the trace writes, all
+ *   in place.
+ * - `repro_error_probability` is the logistic error probability of one
+ *   period, the one evaluation `repro_run_periods` calls.
  *
  * Floating point.  Byte-identity with the Python engines holds because
- * every double operation here is one IEEE-754 +, -, * or comparison
+ * every double operation here is one IEEE-754 +, -, *, / or comparison
  * written in the same order as the Python expression it mirrors, and
  * the build passes -ffp-contract=off so none is fused into an FMA.
  * The logistic error probability needs an exponential, which libm and
- * numpy do not round alike, so it is never evaluated here: the session
- * loop reads it from rows the caller fills with numpy (see
- * `repro_run_periods`).  rint rounds ties to even, as Python's round
- * does.
+ * numpy do not round alike, so this file calls no libm exp: the caller
+ * passes numpy's own float64 exp inner loop as a function pointer (see
+ * `repro_error_probability`).  rint rounds ties to even, as Python's
+ * round does.
  *
  * Lane state is struct-of-arrays (due / tbs / att / p rows, strictly
  * increasing due order).  Due slots are unique and monotone in push
@@ -243,13 +246,42 @@ int64_t repro_retx_period(
     return 0;
 }
 
+/* A numpy ufunc inner loop (`PyUFuncGenericFunction`): args, dimensions
+ * and steps as numpy passes them, npy_intp being intptr_t. */
+typedef void (*ufunc_loop_t)(char **args, const intptr_t *dims,
+                             const intptr_t *steps, void *data);
+
+/* The decode-failure probability of `n` slots at spectral efficiency
+ * `eff` over capacities `cap`, into `out`: the in-place ufunc sequence
+ * of `BlerModel.error_probability_given_capacity`, step for step --
+ * subtract, subtract bias, divide by slope, negate, exp, add 1.0,
+ * divide 1.0 by it.  `exp_loop` / `exp_data` are numpy's float64 exp
+ * inner loop and its data pointer, called in place over `out` exactly
+ * as `np.exp(out, out=out)` calls it, so the exponentials are the bits
+ * numpy computes on this host's SIMD path. */
+void repro_error_probability(double eff, const double *cap, int64_t n,
+                             double bias, double slope,
+                             ufunc_loop_t exp_loop, void *exp_data,
+                             double *out)
+{
+    for (int64_t j = 0; j < n; j++)
+        out[j] = -(((eff - cap[j]) - bias) / slope);
+    char *args[2] = {(char *)out, (char *)out};
+    intptr_t dims[1] = {(intptr_t)n};
+    intptr_t steps[2] = {(intptr_t)sizeof(double), (intptr_t)sizeof(double)};
+    exp_loop(args, dims, steps, exp_data);
+    for (int64_t j = 0; j < n; j++)
+        out[j] = 1.0 / (out[j] + 1.0);
+}
+
 /* Single-session period loop.
  *
  * Field order and types must match `_native.SessionLoop` (int64,
  * double and pointers only, so the layout has no padding), which also
- * declares each pointer's element type; `_native_periods` in
- * simulator.py checks every row against it.  A trace column `name` is
- * written through field `t_<name>`. */
+ * declares each row pointer's element type and length; `_native_periods`
+ * in simulator.py checks every row against both.  n_periods is
+ * ceil(n_slots / period).  A trace column `name` is written through
+ * field `t_<name>`. */
 typedef struct {
     /* shape */
     int64_t n_slots, period;
@@ -259,10 +291,12 @@ typedef struct {
     /* per-slot inputs (n_slots) */
     const double *uniforms, *retx_uniforms;
     const uint8_t *usable, *special;
+    const double *eff_cap;
     /* link-adaptation LUTs: mcs_lut (2, 16, n_off) at offset - off_lo;
      * eff/mod (2, n_mcs); tbs (2, n_grants, n_mcs, max_layers) */
     const int64_t *mcs_lut;
     int64_t n_off, off_lo, n_mcs;
+    const double *eff_lut;
     const int64_t *mod_lut;
     const int64_t *tbs_full, *tbs_special;
     int64_t n_grants, max_layers;
@@ -277,17 +311,19 @@ typedef struct {
     /* carrier and HARQ */
     int64_t is_qam256, dci_fallback_cqi, rtt, max_attempts;
     double scale;
-    /* lazy error-probability rows of the current chunk: row
-     * fb * n_mcs + mcs starts at row_ptr[row] (indexed by slot minus
-     * the chunk's first slot), NULL until the caller fills it */
-    const double *const *row_ptr;
+    /* logistic BLER model and numpy's float64 exp inner loop (see
+     * repro_error_probability) */
+    double bias, slope;
+    ufunc_loop_t exp_loop;
+    void *exp_data;
     /* HARQ lane (capacity cap, pending entries) */
     int64_t cap;
     int64_t *due, *tbs, *att;
     double *ph;
     int64_t pending;
-    /* per-period scratch: dec/fm/tx (period), cum (period + 1),
+    /* per-period scratch: pe, dec/fm/tx (period), cum (period + 1),
      * seg_* and ev_* (period + 1) */
+    double *pe;
     uint8_t *dec, *fm, *tx;
     int64_t *cum;
     int64_t *seg_col, *seg_lo, *seg_hi;
@@ -306,8 +342,8 @@ typedef struct {
     double ewma, delta;
 } session_t;
 
-#define NEED_ROOM (-2)
-#define CHUNK_DONE (-1)
+#define LOOP_DONE 0
+#define NEED_ROOM 1
 
 static inline void write_slot(session_t *s, int64_t i, int64_t prb,
                               int64_t mcs, int64_t mod, int64_t layers,
@@ -328,19 +364,16 @@ static inline void write_slot(session_t *s, int64_t i, int64_t prb,
     s->t_error[i] = !ok;
 }
 
-/* Run periods [s->p, chunk_hi) of the chunk starting at period
- * chunk_lo.  Returns CHUNK_DONE when the chunk is finished; a row
- * index >= 0 when the next period needs error-probability row `row`
- * and s->row_ptr[row] is NULL (the caller fills a row buffer over the
- * chunk's slots with numpy, points row_ptr[row] at it, and calls
- * again); NEED_ROOM when the lane needs more than s->cap entries (the
- * caller widens the lane and calls again).  Either early return happens before the
- * period changes any state, so the next call resumes exactly there. */
-int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
+/* Run periods [s->p, n_periods) of the session.  Returns LOOP_DONE
+ * when the session is finished, or NEED_ROOM when the lane needs more
+ * than s->cap entries (the caller widens the lane and calls again);
+ * that return happens before the period changes any state, so the
+ * next call resumes exactly there. */
+int64_t repro_run_periods(session_t *s)
 {
     const int64_t period = s->period, n_slots = s->n_slots;
-    const int64_t row_base = chunk_lo * period;
-    for (int64_t p = s->p; p < chunk_hi; p++) {
+    const int64_t n_periods = (n_slots + period - 1) / period;
+    for (int64_t p = s->p; p < n_periods; p++) {
         int64_t start = p * period;
         int64_t stop = start + period < n_slots ? start + period : n_slots;
         int64_t m = stop - start;
@@ -351,32 +384,26 @@ int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
 
         /* --- measurement report ------------------------------------ */
         double measured = s->measured[p];
-        double ewma = s->have_ewma
+        s->ewma = s->have_ewma
             ? (1.0 - s->beta) * s->ewma + s->beta * measured
             : measured;
+        s->have_ewma = 1;
         int64_t rank = 1;
         for (int64_t k = 0; k < s->n_rank_steps; k++) {
             int64_t cand = k + 2;
             double eff = cand <= s->rank ? s->rank_keep[k] : s->rank_up[k];
-            if (ewma >= eff)
+            if (s->ewma >= eff)
                 rank = cand;
         }
         if (rank > s->adapter_max)
             rank = s->adapter_max;
+        s->rank = rank;
         int64_t layers = rank < s->max_layers ? rank : s->max_layers;
         int64_t cqi = s->cqi[p];
         int64_t fb = s->is_qam256 && cqi <= s->dci_fallback_cqi;
         int64_t offset = s->olla_enabled ? (int64_t)rint(s->delta) : 0;
         int64_t mcs = s->mcs_lut[(fb * 16 + cqi) * s->n_off + offset - s->off_lo];
         int64_t row = fb * s->n_mcs + mcs;
-        const double *row_p = s->row_ptr[row];
-        if (!row_p) {
-            s->p = p;
-            return row;
-        }
-        s->ewma = ewma;
-        s->have_ewma = 1;
-        s->rank = rank;
 
         int64_t mod = s->mod_lut[row];
         int64_t prb = s->prb[p];
@@ -386,7 +413,10 @@ int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
         int64_t dci = (fb || !s->is_qam256) ? 0 : 1;
 
         /* --- decode outcomes and transmit pattern ------------------- */
-        const double *pe = row_p + (start - row_base);
+        const double *pe = s->pe;
+        repro_error_probability(s->eff_lut[row], s->eff_cap + start, m,
+                                s->bias, s->slope, s->exp_loop, s->exp_data,
+                                s->pe);
         const double *u = s->uniforms + start;
         s->cum[0] = 0;
         for (int64_t j = 0; j < m; j++) {
@@ -431,5 +461,5 @@ int64_t repro_run_periods(session_t *s, int64_t chunk_lo, int64_t chunk_hi)
         }
         s->p = p + 1;
     }
-    return CHUNK_DONE;
+    return LOOP_DONE;
 }

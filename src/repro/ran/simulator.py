@@ -17,10 +17,10 @@ XCAL-equivalent artifact the analysis layer consumes.
 Three slot engines produce byte-identical traces:
 
 - ``"native"`` — the compiled period loop (``repro_run_periods`` in
-  ``_retx_kernel.c``, driven by :func:`_native_periods`): whole CQI
-  periods of one session in C, link adaptation, decode, HARQ and the
-  trace writes included; only the logistic error probability is
-  evaluated in numpy, in lazily filled rows per chunk of periods.
+  ``_retx_kernel.c``, driven by :func:`_native_periods`): every CQI
+  period of one session in C, link adaptation, the error probability
+  (through numpy's own float64 ``exp`` inner loop), decode, HARQ and
+  the trace writes included.
 - ``"tensor"`` — the cross-session cohort pass in
   :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
   run as one ``(sessions x slots)`` tensor, with retransmission windows
@@ -476,27 +476,25 @@ def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tu
     return 0, 1
 
 
-#: CQI periods per native-loop chunk.  The lazy error-probability rows
-#: span one chunk, so this bounds their scratch memory (one row per
-#: (family, MCS) pair the chunk reads, each ``chunk x period`` slots)
-#: and sets the trade between round trips to numpy and slots evaluated
-#: but never read.
-_CHUNK_PERIODS = 256
-
-def _check_native_rows(arrays: dict[str, np.ndarray], n_slots: int) -> None:
+def _check_native_rows(arrays: dict[str, np.ndarray], n_slots: int,
+                       period: int) -> None:
     """Raise ``TypeError`` unless every row is contiguous at exactly the
     element type ``session_t`` declares for it
-    (:data:`repro.ran._native.ROW_DTYPES`), and every trace row holds
-    ``n_slots`` elements: the loop trusts both, so a mismatch would
-    read or write past the array."""
+    (:data:`repro.ran._native.ROW_DTYPES`), and holds exactly the
+    elements the loop reads or writes there
+    (:data:`repro.ran._native.ROW_LENGTHS`): the loop trusts both, so a
+    mismatch would read or write past the array."""
+    lengths = {"n_slots": n_slots, "n_periods": -(-n_slots // period),
+               "period": period, "period + 1": period + 1}
     for name, array in arrays.items():
         expected = _native.ROW_DTYPES[name]
         if array.dtype != expected or not array.flags.c_contiguous:
             raise TypeError(f"native loop input {name!r} must be a contiguous "
                             f"{expected} row, got {array.dtype}")
-        if name.startswith("t_") and array.size != n_slots:
-            raise TypeError(f"native loop output {name!r} holds {array.size} "
-                            f"slots, the session has {n_slots}")
+        length = _native.ROW_LENGTHS.get(name)
+        if length is not None and array.size != lengths[length]:
+            raise TypeError(f"native loop row {name!r} holds {array.size} elements, "
+                            f"the loop reads {lengths[length]} ({length})")
 
 
 def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
@@ -509,19 +507,13 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
     (``repro_run_periods`` in ``_retx_kernel.c``), writing ``trace``'s
     link columns in place.
 
-    The loop needs the logistic error probability, whose ``exp`` only
-    numpy may evaluate (libm rounds it differently).  So it runs in
-    chunks of :data:`_CHUNK_PERIODS` periods with lazy rows: when a
-    period's (family, MCS) row is not filled yet, the call returns the
-    row's index with its state saved in ``state``; this function fills
-    that row from the period's start to the chunk's end with the same
-    in-place ufunc sequence the reference loop runs per period —
-    elementwise, so the values are bit-identical — and calls again.
-    Later periods of the chunk with the same MCS read the filled row.
+    The loop evaluates each period's error probability itself, over
+    that period's slots, through numpy's float64 ``exp`` inner loop
+    (:func:`repro.ran._native.exp_loop`), so it returns to Python only
+    when the HARQ lane needs more room.
     """
     n_slots = trace.scheduled.size
     period = cell.cqi_period_slots
-    n_periods = measured.size
     mcs_lut, eff_lut, mod_lut, n_max = _la_luts(cell)
     is_qam256 = cell.max_modulation is Modulation.QAM256
     fallback = (cqi <= params.dci_fallback_cqi) & is_qam256
@@ -534,13 +526,6 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
     rank_keep = np.array([keep for _, _, keep in steps], dtype=np.float64)
     olla = Olla()
 
-    chunk_slots = min(_CHUNK_PERIODS, n_periods) * period
-    eff_rows = eff_lut.ravel()
-    # A chunk reads about 16 of the 2 x n_mcs rows (31 at most in the
-    # full-mode experiments), so each row it reads gets its own buffer,
-    # reused by later chunks, instead of one block for every row.
-    row_ptr = np.zeros(eff_rows.size, dtype=np.uintp)
-    row_buffers: list[np.ndarray] = []
     cap = 4 * (period + params.harq_rtt_slots)
     lane = [np.empty(cap, dtype=np.int64) for _ in range(3)] + [np.empty(cap)]
     scratch_u8 = np.empty((3, period), dtype=np.uint8)
@@ -553,10 +538,11 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         "grant": np.ascontiguousarray(grant, dtype=np.int64),
         "uniforms": uniforms, "retx_uniforms": retx_uniforms,
         "usable": usable.view(np.uint8), "special": special.view(np.uint8),
-        "mcs_lut": mcs_lut, "mod_lut": mod_lut,
+        "eff_cap": np.ascontiguousarray(eff_cap, dtype=np.float64),
+        "mcs_lut": mcs_lut, "eff_lut": eff_lut, "mod_lut": mod_lut,
         "tbs_full": tbs_full, "tbs_special": tbs_special,
         "rank_up": rank_up, "rank_keep": rank_keep,
-        "row_ptr": row_ptr,
+        "pe": np.empty(period),
         "dec": scratch_u8[0], "fm": scratch_u8[1], "tx": scratch_u8[2],
         "cum": scratch_i64[0], "seg_col": scratch_i64[1],
         "seg_lo": scratch_i64[2], "seg_hi": scratch_i64[3],
@@ -564,7 +550,8 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         "ev_tbs": scratch_i64[6], "ev_ok": scratch_ev[0], "ev_retx": scratch_ev[1],
         **{f"t_{name}": trace.column(name) for name in _native.TRACE_OUTPUTS},
     }
-    _check_native_rows(arrays, n_slots)
+    _check_native_rows(arrays, n_slots, period)
+    exp_loop, exp_data = _native.exp_loop()
     state = _native.SessionLoop(
         n_slots=n_slots, period=period,
         n_off=mcs_lut.shape[2], off_lo=_OFF_LO, n_mcs=n_max,
@@ -576,6 +563,8 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
         olla_hi=olla.max_offset, is_qam256=is_qam256,
         dci_fallback_cqi=params.dci_fallback_cqi, rtt=params.harq_rtt_slots,
         max_attempts=params.max_attempts, scale=params.retx_error_scale,
+        bias=params.bler.bias, slope=params.bler.slope,
+        exp_loop=exp_loop, exp_data=exp_data,
         pending=0, p=0, rank=1, have_ewma=0,
         ewma=0.0, delta=olla.delta,
         **{name: array.ctypes.data for name, array in arrays.items()},
@@ -587,29 +576,11 @@ def _native_periods(loop, trace: SlotTrace, cell: CellConfig,
 
     bind_lane()
     ref = ctypes.byref(state)
-    error_probability = params.bler.error_probability_given_capacity
-    for lo_p in range(0, n_periods, _CHUNK_PERIODS):
-        hi_p = min(n_periods, lo_p + _CHUNK_PERIODS)
-        lo, hi = lo_p * period, min(n_slots, hi_p * period)
-        chunk_cap = eff_cap[lo:hi]
-        row_ptr[:] = 0
-        n_filled = 0
-        while (need := loop(ref, lo_p, hi_p)) != _native.CHUNK_DONE:
-            if need == _native.NEED_ROOM:
-                pending = state.pending
-                lane = [np.concatenate((a[:pending], np.empty(2 * a.size - pending, a.dtype)))
-                        for a in lane]
-                bind_lane()
-            else:
-                # Periods before state.p never read this row again.
-                if n_filled == len(row_buffers):
-                    row_buffers.append(np.empty(chunk_slots))
-                row = row_buffers[n_filled]
-                n_filled += 1
-                at = state.p * period - lo
-                error_probability(eff_rows[need], chunk_cap[at:],
-                                  out=row[at:hi - lo])
-                row_ptr[need] = row.ctypes.data
+    while loop(ref) == _native.NEED_ROOM:
+        pending = state.pending
+        lane = [np.concatenate((a[:pending], np.empty(2 * a.size - pending, a.dtype)))
+                for a in lane]
+        bind_lane()
 
 
 def _simulate_direction(

@@ -188,13 +188,13 @@ def test_no_kernel_falls_back_to_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
-# Lazy error-probability rows
+# The error probability in C
 # ---------------------------------------------------------------------- #
-# The native loop reads the logistic error probability from rows that
-# numpy fills over a whole chunk of periods (``exp`` must be numpy's).
-# That is only byte-identical to the reference engine's per-period
-# evaluation because the ufunc sequence is elementwise: these tests pin
-# it.
+# The native loop evaluates the logistic error probability per period in
+# C, calling numpy's own float64 exp inner loop through a function
+# pointer (libm's exp rounds differently).  These tests pin the
+# evaluation against BlerModel's and the fallback when the resolved
+# loop is not numpy's exp.
 
 _EFFICIENCIES = sorted({entry.spectral_efficiency
                         for table in (MCS_TABLE_64QAM, MCS_TABLE_256QAM)
@@ -206,20 +206,133 @@ def _chunk_capacity(n_slots: int = 5120) -> np.ndarray:
     return BlerModel().capacity(sinr)
 
 
-@pytest.mark.parametrize("start", [0, 20, 2460, 5100])
-def test_lazy_row_matches_per_period_evaluation(start: int):
-    """A row filled over a chunk slice (from any period start to the
-    chunk end) equals the 20-slot per-period evaluations bit for bit."""
+def _require_kernel():
+    if _native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {_native.kernel_status()['error']}")
+
+
+def test_error_probability_matches_bler_model():
+    """``repro_error_probability`` equals
+    ``BlerModel.error_probability_given_capacity`` bit for bit over
+    every period length 1..20 at several start offsets, for every MCS
+    efficiency, into the saturated (p = 1.0) and exp-overflow (p = 0.0)
+    regions."""
+    _require_kernel()
     bler = BlerModel()
-    cap = _chunk_capacity()
-    row = np.empty(cap.size)
-    per_period = np.empty(20)
+    cap = np.concatenate((_chunk_capacity(400), np.linspace(-80.0, 90.0, 200)))
+    got = np.empty(20)
+    expected = np.empty(20)
+    regions = set()
     for eff in _EFFICIENCIES:
-        bler.error_probability_given_capacity(eff, cap[start:], out=row[start:])
-        for lo in range(start, cap.size, 20):
-            expected = bler.error_probability_given_capacity(
-                eff, cap[lo:lo + 20], out=per_period[:min(20, cap.size - lo)])
-            assert row[lo:lo + 20].tobytes() == expected.tobytes()
+        for start in (0, 1, 7, 63, 399, 420, 579):
+            for m in range(1, 21):
+                window = cap[start:start + m]
+                with np.errstate(over="ignore"):
+                    want = bler.error_probability_given_capacity(
+                        eff, window, out=expected[:len(window)])
+                have = _native.error_probability(eff, window, bler.bias, bler.slope,
+                                                 got[:len(window)])
+                assert have.tobytes() == want.tobytes(), (eff, start, m)
+                regions.update({float(v) for v in want} & {0.0, 1.0})
+    assert regions == {0.0, 1.0}
+
+
+def test_kernel_source_calls_no_libm_transcendentals():
+    """The kernel gets every exponential from numpy's loop and builds
+    without FMA contraction: its code calls no libm exp, log or pow."""
+    import re
+
+    source = re.sub(r"/\*.*?\*/", "", _native._SOURCE.read_text(), flags=re.S)
+    assert re.findall(r"\b(?:exp|log|pow)[fl]?\s*\(", source) == []
+    assert "-ffp-contract=off" in _native._CFLAGS
+
+
+def test_wrong_exp_loop_falls_back_to_reference(monkeypatch):
+    """A resolver that hands back another float64 loop (``np.log``'s)
+    fails the load-time probe: the kernel counts as unavailable, the
+    error names the exp loop, and an unpinned session runs the
+    reference engine with the same bytes, counted."""
+    _require_kernel()
+    cell, mean_sinr_db, params = SINGLE_UE_CASES["tdd-256qam-mid"]
+    with_kernel = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                              7, "", **params)
+    monkeypatch.setattr(_native, "_state",
+                        {"loaded": False, "fn": None, "loop": None, "exp": None,
+                         "evaluate": None, "error": None, "fallback_sessions": 0})
+    monkeypatch.setattr(_native, "_exp_loop", lambda: _native._float64_loop(np.log))
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert _native.load_kernel() is None
+    assert "exp loop" in _native.kernel_status()["error"]
+    assert resolve_engine() == "reference"
+    without = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
+                          7, "", **params)
+    assert without == with_kernel
+    assert _native.kernel_status()["fallback_sessions"] == 1
+
+
+_SIMD_SNIPPET = r"""
+import json, os, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from repro.operators.profiles import ALL_PROFILES
+from repro.ran import _native
+from repro.xcal.dataset import CampaignSpec, run_session
+from repro.xcal.io import npz_bytes, trace_to_arrays
+
+spec = CampaignSpec(minutes_per_operator=0.2, session_s=4.0, seed=9)
+sessions = [(key, direction, seed) for key in sorted(ALL_PROFILES)[:3]
+            for direction, seed in (("DL", 11), ("UL", 12))]
+out = {"avx512": bool(__cpu_features__.get("X86_V4")),
+       "kernel": _native.load_kernel() is not None, "differ": []}
+traces = {}
+for engine in ("", "reference"):
+    os.environ["REPRO_ENGINE"] = engine
+    traces[engine] = [npz_bytes(trace_to_arrays(run_session(ALL_PROFILES[k], spec, d, s)), {})
+                      for k, d, s in sessions]
+out["differ"] = [list(s) for s, a, b in zip(sessions, traces[""], traces["reference"])
+                 if a != b]
+json.dump(out, sys.stdout)
+"""
+
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_native_matches_reference_on_the_non_avx512_exp_path():
+    """With numpy's AVX-512 dispatch disabled its float64 exp runs
+    another code path, whose bits differ from the AVX-512 ones on a few
+    percent of inputs; the native loop calls whichever loop numpy
+    dispatched, so its traces still equal the reference engine's."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def run(extra_env):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.update(extra_env)
+        return subprocess.run([sys.executable, "-c", _SIMD_SNIPPET], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    base = run({})
+    assert base.returncode == 0, base.stderr
+    if not json.loads(base.stdout)["avx512"]:
+        pytest.skip("host lacks the AVX-512 features numpy dispatches exp to")
+    disabled = run({"NPY_DISABLE_CPU_FEATURES": _NO_AVX512})
+    if disabled.returncode != 0:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={_NO_AVX512!r}: "
+                    f"{disabled.stderr.strip().splitlines()[-1:]}")
+    result = json.loads(disabled.stdout)
+    if result["avx512"]:
+        pytest.skip(f"numpy ignored NPY_DISABLE_CPU_FEATURES={_NO_AVX512!r}")
+    if not result["kernel"]:
+        pytest.skip("native kernel unavailable")
+    assert result["differ"] == []
+    assert json.loads(base.stdout)["differ"] == []
 
 
 def test_lazy_tile_matches_rows():

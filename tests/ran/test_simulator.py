@@ -247,7 +247,8 @@ class TestParamsValidation:
 
 class TestNativeInputCheck:
     """``_native_periods`` checks each row against the one element type
-    the C struct declares, before the compiled loop can touch it."""
+    and length the C struct declares, before the compiled loop can touch
+    it."""
 
     def test_wrong_dtype_trace_column_raises_before_the_loop(
             self, cell_90mhz, good_channel, rng, monkeypatch):
@@ -270,20 +271,43 @@ class TestNativeInputCheck:
             simulate_downlink(cell_90mhz, good_channel, rng=rng)
         assert calls == []
 
+    #: Row sizes of a 6-slot session at 4-slot periods, by length class.
+    _SIZES = {"n_slots": 6, "n_periods": 2, "period": 4, "period + 1": 5}
+
+    def _row(self, name, dtype=None, size=None):
+        from repro.ran._native import ROW_DTYPES, ROW_LENGTHS
+
+        if size is None:
+            size = self._SIZES.get(ROW_LENGTHS.get(name), 3)
+        return np.zeros(size, dtype=dtype or ROW_DTYPES[name])
+
     @pytest.mark.parametrize("name,dtype", [("cqi", np.uint8), ("usable", np.int64),
                                             ("t_tbs_bits", np.int64), ("t_error", np.int8),
                                             ("measured", np.float32),
-                                            ("row_ptr", np.int64)])
+                                            ("eff_cap", np.float32), ("eff_lut", np.float32),
+                                            ("pe", np.float32)])
     def test_each_row_takes_one_dtype(self, name, dtype):
-        from repro.ran._native import ROW_DTYPES
         from repro.ran.simulator import _check_native_rows
 
-        _check_native_rows({name: np.zeros(4, dtype=ROW_DTYPES[name])}, 4)
+        _check_native_rows({name: self._row(name)}, 6, 4)
         with pytest.raises(TypeError, match=repr(name)):
-            _check_native_rows({name: np.zeros(4, dtype=dtype)}, 4)
+            _check_native_rows({name: self._row(name, dtype)}, 6, 4)
 
     def test_short_trace_row_rejected(self):
         from repro.ran.simulator import _check_native_rows
 
-        with pytest.raises(TypeError, match="holds 3 slots"):
-            _check_native_rows({"t_cqi": np.zeros(3, dtype=np.int8)}, 4)
+        with pytest.raises(TypeError, match="'t_cqi' holds 3 elements"):
+            _check_native_rows({"t_cqi": np.zeros(3, dtype=np.int8)}, 4, 4)
+
+    @pytest.mark.parametrize("name,length", [
+        ("uniforms", 6), ("retx_uniforms", 6), ("usable", 6), ("special", 6),
+        ("eff_cap", 6), ("measured", 2), ("cqi", 2), ("prb", 2), ("grant", 2),
+        ("pe", 4)])
+    def test_short_input_row_rejected(self, name, length):
+        """Every row the loop reads is length-checked: one element short
+        would be read past its end."""
+        from repro.ran.simulator import _check_native_rows
+
+        _check_native_rows({name: self._row(name, size=length)}, 6, 4)
+        with pytest.raises(TypeError, match=f"{name!r} holds {length - 1} elements"):
+            _check_native_rows({name: self._row(name, size=length - 1)}, 6, 4)
