@@ -204,6 +204,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if not root:
         print(f"no store: pass --cache DIR or set ${CACHE_DIR_ENV}", file=sys.stderr)
         return 2
+    # Inspecting or maintaining a store never creates one.
+    if not (Path(root) / "objects").is_dir():
+        print(f"no store at {root}", file=sys.stderr)
+        return 2
     store = TraceStore(root)
     if args.action == "stats":
         if args.json:

@@ -18,7 +18,8 @@ The model decomposes a round into:
   V_It-vs-V_Ge gap.
 
 Both an analytic mean and a Monte Carlo sampler (for distributions /
-box plots) are provided.
+box plots) are provided; the sampler walks all packets at once, reading
+each alignment wait off the pattern's per-period ``wait_table``.
 """
 
 from __future__ import annotations
@@ -146,14 +147,6 @@ class UserPlaneLatencyModel:
     # ------------------------------------------------------------------ #
     # Monte Carlo
     # ------------------------------------------------------------------ #
-    def _wait_from_phase(self, phase_slots: float, direction: SlotType) -> float:
-        """Exact wait (ms) from a fractional slot position to the start
-        of the next slot carrying ``direction``."""
-        slot = int(phase_slots)
-        residual = (slot + 1 - phase_slots) * self.slot_ms
-        whole = self.pattern.wait_slots(direction, slot + 1) * self.slot_ms
-        return residual + whole
-
     def sample(
         self,
         n: int,
@@ -171,22 +164,25 @@ class UserPlaneLatencyModel:
             raise ValueError("retx_probability must lie in [0, 1]")
         rng = rng or np.random.default_rng()
         period = self.pattern.period_slots
+        slot_ms = self.slot_ms
+
+        def wait(cursor: np.ndarray, direction: SlotType) -> np.ndarray:
+            # Residual of the current slot, then whole slots from slot + 1.
+            slot = np.trunc(cursor)
+            table = self.pattern.wait_table(direction)
+            return (slot + 1 - cursor) * slot_ms + table[slot.astype(np.intp) + 1] * slot_ms
+
         phases = rng.random(n) * period
-        delays = np.empty(n)
-        for i, phase in enumerate(phases):
-            t = self._wait_from_phase(float(phase), SlotType.DL)
-            t += self.slot_ms + self.ue_processing_ms
-            cursor = (phase + t / self.slot_ms) % period
-            if self.sr_based_ul:
-                sr_wait = self._wait_from_phase(float(cursor), SlotType.UL)
-                t += sr_wait + self.gnb_processing_ms
-                cursor = (cursor + (sr_wait + self.gnb_processing_ms) / self.slot_ms) % period
-                grant_wait = self._wait_from_phase(float(cursor), SlotType.DL)
-                t += grant_wait + self.ue_processing_ms
-                cursor = (cursor + (grant_wait + self.ue_processing_ms) / self.slot_ms) % period
-            ul_wait = self._wait_from_phase(float(cursor), SlotType.UL)
-            t += ul_wait + self.slot_ms + self.gnb_processing_ms
-            delays[i] = t
+        delays = wait(phases, SlotType.DL)
+        delays += slot_ms + self.ue_processing_ms
+        cursor = np.remainder(phases + delays / slot_ms, period)
+        # SR-based access: send the SR in an UL slot, then decode the grant.
+        sr_legs = ((SlotType.UL, self.gnb_processing_ms), (SlotType.DL, self.ue_processing_ms))
+        for direction, processing_ms in sr_legs if self.sr_based_ul else ():
+            leg = wait(cursor, direction) + processing_ms
+            delays += leg
+            cursor = np.remainder(cursor + leg / slot_ms, period)
+        delays += wait(cursor, SlotType.UL) + slot_ms + self.gnb_processing_ms
         if retx_probability > 0.0:
             retx = rng.random(n) < retx_probability
             delays = delays + retx * self.harq_penalty_ms()

@@ -13,6 +13,9 @@ A pattern string uses one character per slot:
 - ``U``: uplink-only slot,
 - ``S``: special slot, split into DL symbols, a guard period, and UL
   symbols (``SpecialSlotConfig``).
+
+Every alignment wait is a lookup in a per-period wait table
+(``TddPattern.wait_table``), built once per ``(direction, full_only)``.
 """
 
 from __future__ import annotations
@@ -80,13 +83,14 @@ class TddPattern:
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
+        object.__setattr__(self, "pattern", self.pattern.upper())
         for char in self.pattern:
             SlotType.from_char(char)  # validates
 
     @classmethod
     def from_string(cls, pattern: str, special: SpecialSlotConfig | None = None) -> "TddPattern":
         """Build a pattern from its slot string."""
-        return cls(pattern.upper(), special or SpecialSlotConfig())
+        return cls(pattern, special or SpecialSlotConfig())
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -102,7 +106,7 @@ class TddPattern:
 
     def slot_type(self, slot_index: int) -> SlotType:
         """Direction of (absolute) slot ``slot_index``."""
-        return SlotType.from_char(self.pattern[slot_index % self.period_slots])
+        return self.slot_types[slot_index % self.period_slots]
 
     @cached_property
     def slot_types(self) -> tuple[SlotType, ...]:
@@ -167,36 +171,39 @@ class TddPattern:
     # ------------------------------------------------------------------ #
     # Alignment waits (latency building blocks, §4.3)
     # ------------------------------------------------------------------ #
-    def next_slot_of(self, direction: SlotType, from_slot: int, *, full_only: bool = False) -> int:
-        """Absolute index of the first slot at or after ``from_slot``
-        carrying the given direction.
+    @cached_property
+    def _wait_tables(self) -> dict[tuple[SlotType, bool], np.ndarray]:
+        return {}
 
-        With ``full_only`` special slots do not count (only pure D/U slots).
-        """
+    def wait_table(self, direction: SlotType, *, full_only: bool = False) -> np.ndarray:
+        """Whole slots to wait from each slot ``0..period_slots`` (entry
+        ``period_slots`` repeats entry 0) to the first slot at or after it
+        carrying ``direction``; with ``full_only`` special slots do not count."""
         if direction is SlotType.SPECIAL:
             raise ValueError("direction must be DL or UL")
-        for offset in range(self.period_slots + 1):
-            idx = from_slot + offset
-            kind = self.slot_type(idx)
-            if kind is direction:
-                return idx
-            if not full_only and kind is SlotType.SPECIAL:
-                symbols = self.special.dl_symbols if direction is SlotType.DL else self.special.ul_symbols
-                if symbols > 0:
-                    return idx
-        raise ValueError(f"pattern {self.pattern!r} has no {direction.value} opportunity")
+        key = (direction, full_only)
+        if key not in self._wait_tables:
+            hits = ([i for i, kind in enumerate(self.slot_types) if kind is direction] if full_only
+                    else self.dl_slot_indices if direction is SlotType.DL else self.ul_slot_indices)
+            if not hits:
+                raise ValueError(f"pattern {self.pattern!r} has no {direction.value} opportunity")
+            table = np.array([min((hit - slot) % self.period_slots for hit in hits)
+                              for slot in range(self.period_slots + 1)])
+            table.flags.writeable = False
+            self._wait_tables[key] = table
+        return self._wait_tables[key]
 
     def wait_slots(self, direction: SlotType, from_slot: int, *, full_only: bool = False) -> int:
         """Slots to wait (0 if ``from_slot`` itself qualifies)."""
-        return self.next_slot_of(direction, from_slot, full_only=full_only) - from_slot
+        return int(self.wait_table(direction, full_only=full_only)[from_slot % self.period_slots])
 
-    def mean_wait_ms(
-        self,
-        direction: SlotType,
-        mu: Numerology | int = Numerology.MU_1,
-        *,
-        full_only: bool = False,
-    ) -> float:
+    def next_slot_of(self, direction: SlotType, from_slot: int, *, full_only: bool = False) -> int:
+        """Absolute index of the first slot at or after ``from_slot``
+        carrying the given direction."""
+        return from_slot + self.wait_slots(direction, from_slot, full_only=full_only)
+
+    def mean_wait_ms(self, direction: SlotType, mu: Numerology | int = Numerology.MU_1, *,
+                     full_only: bool = False) -> float:
         """Expected wait, in ms, from a uniformly random arrival instant to
         the *start* of the next slot carrying ``direction``.
 
@@ -206,12 +213,9 @@ class TddPattern:
         """
         slot_ms = slot_duration_ms(mu)
         total = 0.0
-        for slot in range(self.period_slots):
-            # Residual of the arrival slot (expected 0.5 slot), then whole
-            # slots until the next opportunity starting from slot + 1.
-            residual = 0.5 * slot_ms
-            whole = self.wait_slots(direction, slot + 1, full_only=full_only) * slot_ms
-            total += residual + whole
+        # Expected half-slot residual, then whole slots from slot + 1 on.
+        for wait in self.wait_table(direction, full_only=full_only)[1:].tolist():
+            total += 0.5 * slot_ms + wait * slot_ms
         return total / self.period_slots
 
 

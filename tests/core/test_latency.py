@@ -1,10 +1,13 @@
 """Tests for repro.core.latency — the §4.3 user-plane latency model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.latency import LatencyBreakdown, UserPlaneLatencyModel
-from repro.nr.tdd import TddPattern
+from repro.nr.tdd import SlotType, TddPattern
+from repro.operators.profiles import ALL_PROFILES
 
 DDDSU = TddPattern.from_string("DDDSU")
 LONG = TddPattern.from_string("DDDDDDDSUU")
@@ -87,3 +90,55 @@ class TestMonteCarlo:
             model.sample(0, rng=rng)
         with pytest.raises(ValueError):
             model.sample(10, rng=rng, retx_probability=2.0)
+
+
+def _scalar_sample(model, n, rng, retx_probability=0.0):
+    """Per-sample walk of the user-plane round: the oracle the vectorized
+    ``UserPlaneLatencyModel.sample`` must match bit for bit."""
+
+    def wait_from_phase(phase_slots, direction):
+        slot = int(phase_slots)
+        residual = (slot + 1 - phase_slots) * model.slot_ms
+        whole = model.pattern.wait_slots(direction, slot + 1) * model.slot_ms
+        return residual + whole
+
+    period = model.pattern.period_slots
+    phases = rng.random(n) * period
+    delays = np.empty(n)
+    for i, phase in enumerate(phases):
+        t = wait_from_phase(float(phase), SlotType.DL)
+        t += model.slot_ms + model.ue_processing_ms
+        cursor = (phase + t / model.slot_ms) % period
+        if model.sr_based_ul:
+            sr_wait = wait_from_phase(float(cursor), SlotType.UL)
+            t += sr_wait + model.gnb_processing_ms
+            cursor = (cursor + (sr_wait + model.gnb_processing_ms) / model.slot_ms) % period
+            grant_wait = wait_from_phase(float(cursor), SlotType.DL)
+            t += grant_wait + model.ue_processing_ms
+            cursor = (cursor + (grant_wait + model.ue_processing_ms) / model.slot_ms) % period
+        ul_wait = wait_from_phase(float(cursor), SlotType.UL)
+        t += ul_wait + model.slot_ms + model.gnb_processing_ms
+        delays[i] = t
+    if retx_probability > 0.0:
+        retx = rng.random(n) < retx_probability
+        delays = delays + retx * model.harq_penalty_ms()
+    return delays
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("key", sorted(ALL_PROFILES))
+    def test_sample_matches_scalar_walk_bit_for_bit(self, key):
+        profile_model = ALL_PROFILES[key].latency_model()
+        for sr_based_ul in (False, True):
+            model = dataclasses.replace(profile_model, sr_based_ul=sr_based_ul)
+            for seed in (1, 2, 3):
+                for retx_probability in (0.0, 0.1, 0.2):
+                    got = model.sample(500, rng=np.random.default_rng(seed),
+                                       retx_probability=retx_probability)
+                    want = _scalar_sample(model, 500, np.random.default_rng(seed), retx_probability)
+                    assert got.tobytes() == want.tobytes(), (sr_based_ul, seed, retx_probability)
+
+    def test_dl_only_pattern_raises_on_the_ul_leg(self):
+        model = UserPlaneLatencyModel(TddPattern.from_string("DDD"))
+        with pytest.raises(ValueError, match="no U opportunity"):
+            model.sample(10, rng=np.random.default_rng(0))

@@ -3,8 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.core.latency import UserPlaneLatencyModel
+from repro.core.runner import SessionTask
 from repro.nr.numerology import Numerology
 from repro.nr.tdd import SlotType, SpecialSlotConfig, TddPattern, WELL_KNOWN_PATTERNS
+from repro.operators.profiles import ALL_PROFILES
+from repro.store.keys import task_fingerprint
+
+
+def _walk_next_slot(pattern, direction, from_slot, full_only):
+    """Offset-by-offset search for the next slot carrying ``direction``:
+    the oracle every wait-table entry must match."""
+    for offset in range(pattern.period_slots + 1):
+        idx = from_slot + offset
+        kind = SlotType.from_char(pattern.pattern[idx % pattern.period_slots])
+        if kind is direction:
+            return idx
+        if not full_only and kind is SlotType.SPECIAL:
+            symbols = pattern.special.dl_symbols if direction is SlotType.DL else pattern.special.ul_symbols
+            if symbols > 0:
+                return idx
+    return None
 
 
 class TestSpecialSlotConfig:
@@ -36,6 +55,14 @@ class TestPatternStructure:
 
     def test_lowercase_accepted(self):
         assert TddPattern.from_string("dddsu").period_slots == 5
+
+    def test_case_is_normalized(self):
+        lower, upper = TddPattern("dddsu"), TddPattern.from_string("DDDSU")
+        assert lower.pattern == "DDDSU"
+        assert lower == upper
+        assert hash(lower) == hash(upper)
+        tasks = [SessionTask(fn=UserPlaneLatencyModel, kwargs={"pattern": p}) for p in (lower, upper)]
+        assert task_fingerprint(tasks[0]) == task_fingerprint(tasks[1])
 
     def test_invalid_character(self):
         with pytest.raises(ValueError, match="unknown slot character"):
@@ -89,6 +116,49 @@ class TestSymbolFractions:
         pattern = TddPattern.from_string("DDDSU")
         assert pattern.dl_slot_indices == (0, 1, 2, 3)
         assert pattern.ul_slot_indices == (3, 4)
+
+
+# Every well-known and profile pattern (deduplicated), a DL-only pattern,
+# and special slots that carry no UL or no DL symbols.
+_TABLE_PATTERNS = list(dict.fromkeys([
+    *WELL_KNOWN_PATTERNS.values(),
+    *(cell.tdd for profile in ALL_PROFILES.values() for cell in profile.cells if cell.tdd is not None),
+    TddPattern.from_string("DDD"),
+    TddPattern.from_string("DDSD", SpecialSlotConfig(dl_symbols=10, guard_symbols=4, ul_symbols=0)),
+    TddPattern.from_string("SUUS", SpecialSlotConfig(dl_symbols=0, guard_symbols=4, ul_symbols=10)),
+]))
+
+
+class TestWaitTable:
+    @pytest.mark.parametrize("full_only", [False, True])
+    @pytest.mark.parametrize("pattern", _TABLE_PATTERNS, ids=lambda p: f"{p.pattern}-{p.special.ul_symbols}")
+    def test_table_matches_offset_walk(self, pattern, full_only):
+        period = pattern.period_slots
+        for direction in (SlotType.DL, SlotType.UL):
+            walked = [_walk_next_slot(pattern, direction, slot, full_only) for slot in range(-period, 3 * period)]
+            if walked[0] is None:
+                # The pattern still constructs; only the query raises.
+                with pytest.raises(ValueError, match=f"no {direction.value} opportunity"):
+                    pattern.wait_table(direction, full_only=full_only)
+                with pytest.raises(ValueError, match=f"no {direction.value} opportunity"):
+                    pattern.mean_wait_ms(direction, full_only=full_only)
+                continue
+            table = pattern.wait_table(direction, full_only=full_only)
+            assert table.shape == (period + 1,)
+            assert table[period] == table[0]
+            for slot, idx in zip(range(-period, 3 * period), walked):
+                assert pattern.next_slot_of(direction, slot, full_only=full_only) == idx
+                assert pattern.wait_slots(direction, slot, full_only=full_only) == idx - slot
+                if 0 <= slot <= period:
+                    assert table[slot] == idx - slot
+
+    def test_table_is_read_only_and_cached(self):
+        pattern = TddPattern.from_string("DDDSU")
+        table = pattern.wait_table(SlotType.UL)
+        assert pattern.wait_table(SlotType.UL) is table
+        assert pattern.wait_table(SlotType.UL, full_only=True) is not table
+        with pytest.raises(ValueError):
+            table[0] = 7
 
 
 class TestWaits:

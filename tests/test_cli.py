@@ -238,6 +238,26 @@ class TestCacheCommand:
         assert main(["cache", "stats"]) == 2
         assert "REPRO_CACHE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", [["stats"], ["verify"], ["clear"], ["evict", "--max-mb", "1"]])
+    def test_missing_store_is_an_error_and_creates_nothing(self, tmp_path, capsys, action):
+        cache = tmp_path / "absent"
+        assert main(["cache", *action, "--cache", str(cache)]) == 2
+        assert capsys.readouterr().err == f"no store at {cache}\n"
+        assert not cache.exists()
+
+    def test_env_store_missing_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "absent"))
+        assert main(["cache", "verify"]) == 2
+        assert "no store at" in capsys.readouterr().err
+        assert not (tmp_path / "absent").exists()
+
+    def test_run_still_creates_the_store(self, tmp_path, capsys):
+        cache = tmp_path / "fresh"
+        assert main(["run", "eq32", "--cache", str(cache)]) == 0
+        assert (cache / "objects").is_dir()
+        assert main(["cache", "verify", "--cache", str(cache)]) == 0
+        assert "verified 0 entries intact" in capsys.readouterr().out
+
     def test_stats(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         self._warm(cache, capsys)
@@ -264,6 +284,8 @@ class TestCacheCommand:
         assert "removed" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache", cache]) == 0
         assert "0 entries" in capsys.readouterr().out
+        assert main(["cache", "verify", "--cache", cache]) == 0
+        assert "verified 0 entries intact" in capsys.readouterr().out
 
     def test_evict_needs_cap(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -1,6 +1,7 @@
 """Integration tests: every experiment runs and reproduces the paper's
 shape-level findings (orderings, ratios, signs, paper tolerances) in
-quick mode."""
+quick mode; the claims cheap enough to run in full mode hold there too
+(``TestFullMode``)."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,21 @@ from repro import papertargets as targets
 from repro.experiments import EXPERIMENT_IDS, run_experiment
 
 
-@pytest.fixture(scope="module")
-def results():
-    """Run each experiment once per test session (quick mode)."""
+def _cached_runner(quick):
     cache = {}
 
     def get(experiment_id):
         if experiment_id not in cache:
-            cache[experiment_id] = run_experiment(experiment_id, seed=2024, quick=True)
+            cache[experiment_id] = run_experiment(experiment_id, seed=2024, quick=quick)
         return cache[experiment_id]
 
     return get
+
+
+@pytest.fixture(scope="module")
+def results():
+    """Run each experiment once per test session (quick mode)."""
+    return _cached_runner(quick=True)
 
 
 class TestHarness:
@@ -339,3 +344,17 @@ class TestExtensions:
         # The Fig. 11 ordering holds at every placement tier.
         for tier in ("wavelength", "edge", "metro", "regional"):
             assert data["V_It"][tier] > data["V_Ge"][tier], tier
+
+
+class TestFullMode:
+    """The Fig. 11 and end-to-end latency claims, with the same bounds,
+    on full-mode runs."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return _cached_runner(quick=False)
+
+    test_fig11_pattern_ordering = TestLatency.test_fig11_pattern_ordering
+    test_fig11_bler_tail = TestLatency.test_fig11_bler_tail
+    test_fig11_absolute_values = TestLatency.test_fig11_absolute_values
+    test_ext_e2e_latency = TestExtensions.test_ext_e2e_latency
