@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,21 +127,6 @@ class Bola(AbrAlgorithm):
 
     def reset(self) -> None:
         self._in_startup = True
-
-
-@dataclass
-class _EwmaEstimator:
-    """Slow/fast EWMA throughput estimator (dash.js style, simplified)."""
-
-    alpha: float = 0.3
-    value: float | None = None
-
-    def update(self, sample_mbps: float) -> float:
-        if self.value is None:
-            self.value = sample_mbps
-        else:
-            self.value = (1.0 - self.alpha) * self.value + self.alpha * sample_mbps
-        return self.value
 
 
 class ThroughputBased(AbrAlgorithm):

@@ -123,13 +123,31 @@ Row = tuple[str, ...]
 
 
 def _environment() -> dict[str, Any]:
-    """Interpreter, numpy and CPU of the host a report was measured on."""
+    """Interpreter, numpy and CPU of the host a report was measured on.
+
+    ``simd_found`` is the ``found`` list of :func:`numpy.show_runtime`:
+    the dispatched SIMD targets numpy runs on this host (after any
+    ``NPY_DISABLE_CPU_FEATURES``), which pick its ``exp`` path and so
+    decide which float KPI bits a run produces.
+    """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count() or 1,
         "cpu_model": _cpu_model(),
+        "simd_found": _simd_found(),
     }
+
+
+def _simd_found() -> list[str]:
+    """The SIMD targets numpy dispatches to on this host, as
+    :func:`numpy.show_runtime` lists them under ``found``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [feature for feature in umath.__cpu_dispatch__
+            if umath.__cpu_features__[feature]]
 
 
 def _cpu_model() -> str:
@@ -401,7 +419,9 @@ def _measure_campaign(quick: bool, seed: int,
     the store variant, a fresh executor — pool spawn stays inside the
     timing for pipe and store alike) and keeps the best repetition;
     one noisy scheduler hiccup otherwise decides ratios like
-    ``routed_cold_vs_pipe_cold``.
+    ``routed_cold_vs_pipe_cold``.  The ``pipe_cold`` and
+    ``store_routed_cold`` repetitions interleave, as the slot
+    workload's engines do.
     """
     import tempfile
 
@@ -436,10 +456,36 @@ def _measure_campaign(quick: bool, seed: int,
             * jobs1_warm_reps, n, cold=False)
 
         pipe = campaign_tasks(quick, seed + 1)
-        workloads["pipe_cold"] = _best_of(
-            (partial(run_tasks, pipe, jobs=workers, transport="pipe",
-                     store=TraceStore(tmp / f"pipe-{rep}"))
-             for rep in range(cold_reps)), n)
+        routed = campaign_tasks(quick, seed + 2)
+
+        def pipe_cold(rep: int) -> dict[str, float]:
+            return _timed(partial(run_tasks, pipe, jobs=workers, transport="pipe",
+                                  store=TraceStore(tmp / f"pipe-{rep}")), n)
+
+        routed_warm: dict[str, float] = {}
+
+        def routed_cold(rep: int) -> dict[str, float]:
+            routed_store = TraceStore(tmp / f"routed-{rep}")
+            with CampaignExecutor(jobs=workers, store=routed_store) as executor:
+                run = _timed(partial(run_tasks, routed, store=routed_store,
+                                     executor=executor), n)
+                if rep == cold_reps - 1:
+                    warm_store = TraceStore(tmp / f"routed-{rep}")
+                    routed_warm.update(_best_of(
+                        [partial(run_tasks, routed, store=warm_store,
+                                 executor=executor)] * 2, n, cold=False))
+                    sections["pool"] = executor.stats()
+            return run
+
+        # ``routed_cold_vs_pipe_cold`` compares these two legs, so they
+        # alternate rep by rep, each leading every other rep: a swing in
+        # host speed lands on both instead of on whichever ran second.
+        cold_runs: dict[str, list[dict[str, float]]] = {"pipe": [], "routed": []}
+        for rep in range(cold_reps):
+            legs = [("pipe", pipe_cold), ("routed", routed_cold)]
+            for name, leg in legs[::-1] if rep % 2 else legs:
+                cold_runs[name].append(leg(rep))
+        workloads["pipe_cold"] = max(cold_runs["pipe"], key=_rate)
 
         if shm_transport_available():
             shm = campaign_tasks(quick, seed + 3)
@@ -468,20 +514,8 @@ def _measure_campaign(quick: bool, seed: int,
         else:
             sections["shm_unavailable"] = True
 
-        routed = campaign_tasks(quick, seed + 2)
-        routed_cold_runs: list[dict[str, float]] = []
-        for rep in range(cold_reps):
-            routed_store = TraceStore(tmp / f"routed-{rep}")
-            with CampaignExecutor(jobs=workers, store=routed_store) as executor:
-                routed_cold_runs.append(_timed(partial(
-                    run_tasks, routed, store=routed_store, executor=executor), n))
-                if rep == cold_reps - 1:
-                    warm_store = TraceStore(tmp / f"routed-{rep}")
-                    workloads["store_routed_warm"] = _best_of(
-                        [partial(run_tasks, routed, store=warm_store,
-                                 executor=executor)] * 2, n, cold=False)
-                    sections["pool"] = executor.stats()
-        workloads["store_routed_cold"] = max(routed_cold_runs, key=_rate)
+        workloads["store_routed_warm"] = routed_warm
+        workloads["store_routed_cold"] = max(cold_runs["routed"], key=_rate)
 
     config = {
         "profiles": list(_CAMPAIGN_PROFILE_KEYS),

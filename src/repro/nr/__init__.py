@@ -13,9 +13,13 @@ paper's measurement analysis relies on at the physical layer:
   (:mod:`repro.nr.mcs`, :mod:`repro.nr.cqi`),
 - the TS 38.214 transport-block-size determination algorithm
   (:mod:`repro.nr.tbs`),
-- DCI formats 1_0 / 1_1 (:mod:`repro.nr.dci`),
-- HARQ processes and retransmission timing (:mod:`repro.nr.harq`),
-- RSRP / RSRQ / SINR signal-quality relations (:mod:`repro.nr.signal`).
+- RSRP / RSRQ / SINR signal-quality relations (:mod:`repro.nr.signal`),
+- MIB/SIB initial access and channel identification per appendix 10.1
+  (:mod:`repro.nr.initial_access`).
+
+The CSI -> MCS/rank/DCI -> HARQ -> OLLA loop that uses these tables
+(the paper's Fig. 21) runs in one place, the slot simulator
+(:mod:`repro.ran.simulator`).
 """
 
 from repro.nr.bands import Band, BAND_CATALOG, arfcn_to_frequency_mhz, frequency_mhz_to_arfcn
@@ -25,8 +29,6 @@ from repro.nr.tdd import TddPattern, SlotType
 from repro.nr.mcs import McsTable, McsEntry, Modulation, MCS_TABLE_64QAM, MCS_TABLE_256QAM
 from repro.nr.cqi import CqiTable, CQI_TABLE_1, CQI_TABLE_2, CqiMcsMapper
 from repro.nr.tbs import transport_block_size
-from repro.nr.dci import DciFormat, DownlinkGrant
-from repro.nr.harq import HarqProcess, HarqEntity
 from repro.nr.signal import sinr_to_cqi, rsrq_from_sinr, rsrp_from_pathloss
 
 __all__ = [
@@ -53,10 +55,6 @@ __all__ = [
     "CQI_TABLE_2",
     "CqiMcsMapper",
     "transport_block_size",
-    "DciFormat",
-    "DownlinkGrant",
-    "HarqProcess",
-    "HarqEntity",
     "sinr_to_cqi",
     "rsrq_from_sinr",
     "rsrp_from_pathloss",

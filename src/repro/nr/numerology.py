@@ -13,7 +13,6 @@ use 120 kHz SCS (``mu = 3``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 SYMBOLS_PER_SLOT = 14
 SUBFRAMES_PER_FRAME = 10
@@ -71,33 +70,3 @@ def symbol_duration_s(mu: Numerology | int) -> float:
     maximum-throughput formula quoted in §3.2 of the paper.
     """
     return 1e-3 / (SYMBOLS_PER_SLOT * (2 ** int(mu)))
-
-
-@dataclass(frozen=True)
-class SlotClock:
-    """A monotone slot counter bound to a numerology.
-
-    The RAN simulator advances one slot at a time; the clock converts slot
-    indices to wall-clock time and frame/slot coordinates.
-    """
-
-    mu: Numerology
-
-    def time_ms(self, slot_index: int) -> float:
-        """Wall-clock time in ms at the *start* of ``slot_index``."""
-        if slot_index < 0:
-            raise ValueError("slot_index must be non-negative")
-        return slot_index * slot_duration_ms(self.mu)
-
-    def frame_slot(self, slot_index: int) -> tuple[int, int]:
-        """Return ``(frame_number, slot_in_frame)`` for a slot index."""
-        if slot_index < 0:
-            raise ValueError("slot_index must be non-negative")
-        per_frame = slots_per_frame(self.mu)
-        return divmod(slot_index, per_frame)
-
-    def slot_at_time_ms(self, time_ms: float) -> int:
-        """Index of the slot containing wall-clock time ``time_ms``."""
-        if time_ms < 0:
-            raise ValueError("time_ms must be non-negative")
-        return int(time_ms / slot_duration_ms(self.mu))

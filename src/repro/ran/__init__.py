@@ -1,19 +1,20 @@
 """Slot-level RAN simulator.
 
 Implements the network side of the measurement substrate: cells and
-their configuration (:mod:`repro.ran.config`), link adaptation with OLLA
-and rank adaptation (:mod:`repro.ran.amc`), RB schedulers
+their configuration (:mod:`repro.ran.config`), the BLER model, OLLA and
+rank-adaptation policies (:mod:`repro.ran.amc`), RB schedulers
 (:mod:`repro.ran.scheduler`), carrier aggregation (:mod:`repro.ran.ca`),
 the LTE anchor and NSA dual connectivity used for uplink
 (:mod:`repro.ran.lte`, :mod:`repro.ran.nsa`), and the slot-clocked
-simulation entry points (:mod:`repro.ran.simulator`).
+simulation entry points (:mod:`repro.ran.simulator`).  The simulator's
+per-CQI-period loop is the one model of the CSI report, MCS/rank/DCI
+choice, HARQ and OLLA exchange; UEs are channel realizations handed to
+its entry points.
 """
 
 from repro.ran.config import CellConfig
-from repro.ran.amc import BlerModel, Olla, RankAdapter, LinkAdapter
+from repro.ran.amc import BlerModel, Olla, RankAdapter
 from repro.ran.scheduler import RoundRobinScheduler, ProportionalFairScheduler
-from repro.ran.ue import UserEquipment
-from repro.ran.gnb import Gnb
 from repro.ran.simulator import simulate_downlink, simulate_downlink_multi, simulate_uplink
 from repro.ran.ca import CarrierAggregation, AggregatedResult
 from repro.ran.lte import LteCellConfig, simulate_lte_uplink
@@ -24,11 +25,8 @@ __all__ = [
     "BlerModel",
     "Olla",
     "RankAdapter",
-    "LinkAdapter",
     "RoundRobinScheduler",
     "ProportionalFairScheduler",
-    "UserEquipment",
-    "Gnb",
     "simulate_downlink",
     "simulate_downlink_multi",
     "simulate_uplink",

@@ -17,12 +17,11 @@ The gNB picks MCS and MIMO rank per grant from the UE's CQI/RI feedback
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nr.mcs import McsTable
-from repro.nr.signal import DEFAULT_ALPHA, shannon_efficiency
+from repro.nr.signal import shannon_efficiency
 
 #: Standard initial-BLER operating target.
 DEFAULT_BLER_TARGET = 0.10
@@ -185,22 +184,3 @@ class RankAdapter:
             previous = self.rank_for_sinr(float(value), previous)
             ranks[i] = previous
         return ranks
-
-
-@dataclass
-class LinkAdapter:
-    """Per-UE link-adaptation state: OLLA plus current rank."""
-
-    mcs_table: McsTable
-    olla: Olla = field(default_factory=Olla)
-    rank_adapter: RankAdapter = field(default_factory=RankAdapter)
-    current_rank: int = 1
-
-    def select_rank(self, sinr_db: float) -> int:
-        """Update and return the MIMO rank for a new measurement report."""
-        self.current_rank = self.rank_adapter.rank_for_sinr(sinr_db, self.current_rank)
-        return self.current_rank
-
-    def select_mcs(self, mapper, cqi: int) -> int:
-        """MCS for a CQI report through the vendor mapper + OLLA offset."""
-        return mapper.mcs_for_cqi(cqi, olla_offset=self.olla.offset)

@@ -554,6 +554,20 @@ class TestTensorWorkloadShape:
         assert [t.seed for t in a] == [t.seed for t in b]
 
 
+class TestEnvironment:
+    def test_records_show_runtimes_simd_found_list(self, monkeypatch):
+        import pprint
+
+        import numpy as np
+
+        printed = []
+        monkeypatch.setattr(pprint, "pprint", printed.append)
+        np.show_runtime()
+        (simd,) = [entry["simd_extensions"] for entry in printed[0]
+                   if "simd_extensions" in entry]
+        assert bench._environment()["simd_found"] == simd["found"]
+
+
 class TestReportIo:
     def test_write_then_load_roundtrip(self, tmp_path):
         report = _report()

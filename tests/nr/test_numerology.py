@@ -4,7 +4,6 @@ import pytest
 
 from repro.nr.numerology import (
     Numerology,
-    SlotClock,
     slot_duration_ms,
     slots_per_frame,
     slots_per_second,
@@ -58,31 +57,3 @@ class TestSlotTiming:
         assert symbol_duration_s(Numerology.MU_1) == pytest.approx(1e-3 / 28)
         assert symbol_duration_s(Numerology.MU_0) == pytest.approx(1e-3 / 14)
 
-
-class TestSlotClock:
-    def test_time_of_slot(self):
-        clock = SlotClock(Numerology.MU_1)
-        assert clock.time_ms(0) == 0.0
-        assert clock.time_ms(7) == 3.5
-
-    def test_frame_slot_coordinates(self):
-        clock = SlotClock(Numerology.MU_1)
-        assert clock.frame_slot(0) == (0, 0)
-        assert clock.frame_slot(20) == (1, 0)
-        assert clock.frame_slot(25) == (1, 5)
-
-    def test_slot_at_time(self):
-        clock = SlotClock(Numerology.MU_1)
-        assert clock.slot_at_time_ms(0.0) == 0
-        assert clock.slot_at_time_ms(0.49) == 0
-        assert clock.slot_at_time_ms(0.5) == 1
-        assert clock.slot_at_time_ms(10.25) == 20
-
-    def test_rejects_negative(self):
-        clock = SlotClock(Numerology.MU_1)
-        with pytest.raises(ValueError):
-            clock.time_ms(-1)
-        with pytest.raises(ValueError):
-            clock.slot_at_time_ms(-0.1)
-        with pytest.raises(ValueError):
-            clock.frame_slot(-5)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nr.mcs import MCS_TABLE_256QAM
-from repro.ran.amc import BlerModel, LinkAdapter, Olla, RankAdapter
+from repro.ran.amc import BlerModel, Olla, RankAdapter
 
 
 class TestBlerModel:
@@ -132,15 +131,3 @@ class TestRankAdapter:
         with pytest.raises(ValueError):
             RankAdapter(max_layers=0)
 
-
-class TestLinkAdapter:
-    def test_select_rank_updates_state(self):
-        adapter = LinkAdapter(MCS_TABLE_256QAM)
-        assert adapter.select_rank(25.0) == 4
-        assert adapter.current_rank == 4
-
-    def test_select_mcs_uses_olla(self, cell_90mhz):
-        adapter = LinkAdapter(MCS_TABLE_256QAM)
-        base = adapter.select_mcs(cell_90mhz.mapper, 10)
-        adapter.olla.delta = -3.0
-        assert adapter.select_mcs(cell_90mhz.mapper, 10) == max(0, base - 3)

@@ -1,5 +1,7 @@
 """Tests for repro.ran.simulator — the slot-level link simulation."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,71 @@ class TestModulationBehaviour:
         sched = trace.scheduled.astype(bool)
         assert (trace.dci_format[sched] == 1).mean() > 0.95
 
+    def test_64qam_cell_schedules_with_dci_1_0(self, good_channel, rng):
+        # A 64QAM-only cell has no 256QAM table to address: every grant
+        # is DCI 1_0 (code 0), however good the channel.
+        cell = CellConfig(name="qam64", bandwidth_mhz=100,
+                          max_modulation=Modulation.QAM64,
+                          tdd=TddPattern.from_string("DDDSU"))
+        trace = simulate_downlink(cell, good_channel, rng=rng)
+        sched = trace.scheduled.astype(bool)
+        assert sched.any()
+        assert (trace.dci_format[sched] == 0).all()
+
+
+class TestCsiReports:
+    """One CSI report per CQI period sets that period's grants
+    (appendix 10.2's CSI -> DCI exchange)."""
+
+    def test_one_report_per_period(self, cell_90mhz, good_channel, rng):
+        trace = simulate_downlink(cell_90mhz, good_channel, rng=rng)
+        period = cell_90mhz.cqi_period_slots
+        sched = trace.scheduled.astype(bool)
+        for start in range(0, len(trace), period):
+            in_period = sched[start:start + period]
+            for column in (trace.cqi, trace.mcs_index, trace.layers, trace.dci_format):
+                assert np.unique(column[start:start + period][in_period]).size == 1
+
+    def test_cqi_reports_the_delayed_channel(self, cell_90mhz, good_channel, rng):
+        # Noise-free, period p reports the CQI of the SINR
+        # ``cqi_delay_slots`` before it starts (clamped at slot 0).
+        from repro.nr.cqi import CQI_MAX
+        from repro.nr.signal import sinr_to_cqi
+
+        params = SimParams(cqi_noise_db=0.0)
+        trace = simulate_downlink(cell_90mhz, good_channel, rng=rng, params=params)
+        period = cell_90mhz.cqi_period_slots
+        starts = np.arange(0, len(trace), period)
+
+        def reported(slots):
+            cqi = sinr_to_cqi(good_channel.sinr_db[slots], cell_90mhz.cqi_table,
+                              alpha=params.cqi_alpha)
+            return np.minimum(cqi, CQI_MAX)
+
+        expected = reported(np.maximum(starts - params.cqi_delay_slots, 0))
+        assert (expected != reported(starts)).any()  # the delay is visible
+        sched = trace.scheduled.astype(bool)
+        for p, start in enumerate(starts):
+            in_period = sched[start:start + period]
+            assert (trace.cqi[start:start + period][in_period] == expected[p]).all()
+
+    def test_measurement_noise_moves_reports(self, cell_90mhz, good_channel):
+        clean, noisy = (
+            simulate_downlink(cell_90mhz, good_channel, rng=np.random.default_rng(7),
+                              params=SimParams(cqi_noise_db=noise_db))
+            for noise_db in (0.0, 3.0))
+        assert not np.array_equal(clean.cqi, noisy.cqi)
+
+    def test_reports_follow_channel_quality(self, cell_90mhz):
+        good = simulate_downlink(cell_90mhz, _channel(28.0), rng=np.random.default_rng(3))
+        poor = simulate_downlink(cell_90mhz, _channel(-5.0), rng=np.random.default_rng(3))
+        good_sched = good.scheduled.astype(bool)
+        poor_sched = poor.scheduled.astype(bool)
+        assert np.median(good.cqi[good_sched]) >= 12
+        assert (good.layers[good_sched] == 4).mean() > 0.9
+        assert np.median(poor.cqi[poor_sched]) <= 3
+        assert (poor.layers[poor_sched] == 1).all()
+
 
 class TestUplink:
     def test_ul_uses_ul_slots_only(self, cell_90mhz, good_channel, rng):
@@ -219,6 +286,57 @@ class TestHarqSpecialSlots:
             cap = transport_block_size(int(trace.n_prb[i]), entry,
                                        int(trace.layers[i]), symbols=symbols)
             assert trace.tbs_bits[i] <= cap
+
+
+def _harq_blocks(trace, params):
+    """Replay a trace's HARQ exchange and return, per finished block,
+    ``(transmissions, last_failed)``.
+
+    Every failed transmission queues its block ``harq_rtt_slots`` later;
+    a block failing its ``max_attempts``-th transmission is dropped.
+    With one RTT and one transmission per slot the queue is FIFO, so
+    each retransmission must serve the oldest queued block: it must be
+    due and carry that block's TBS, and no due block may wait through
+    a full DL slot.  A simulator that sent a block more often than the
+    cap, or dropped it earlier, breaks one of these.
+    """
+    queue: deque = deque()
+    blocks = []
+    for i in range(len(trace)):
+        if queue and queue[0][0] <= i and trace.slot_type[i] == SLOT_DL:
+            assert trace.is_retx[i], f"block due at {queue[0][0]} skipped at {i}"
+        if trace.is_retx[i]:
+            due, tbs, sent = queue.popleft()
+            assert due <= i and trace.tbs_bits[i] == tbs
+            sent += 1
+        elif trace.scheduled[i]:
+            tbs, sent = int(trace.tbs_bits[i]), 1
+        else:
+            continue
+        failed = bool(trace.error[i])
+        assert trace.delivered_bits[i] == (0 if failed else tbs)
+        if failed and sent < params.max_attempts:
+            queue.append((i + params.harq_rtt_slots, tbs, sent))
+        else:
+            blocks.append((sent, failed))
+    return blocks
+
+
+class TestHarqAttemptCap:
+    @pytest.mark.parametrize("engine", ["reference", ""], ids=["reference", "policy"])
+    @pytest.mark.parametrize("max_attempts", [2, 3])
+    def test_block_sent_at_most_max_attempts_times(self, cell_90mhz, engine,
+                                                   max_attempts, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        params = SimParams(max_attempts=max_attempts, retx_error_scale=1.0)
+        trace = simulate_downlink(cell_90mhz, _channel(0.0),
+                                  rng=np.random.default_rng(3), params=params)
+        blocks = _harq_blocks(trace, params)
+        assert max(sent for sent, _ in blocks) == max_attempts
+        # Some blocks fail every attempt and are dropped; others recover
+        # on their first retransmission.
+        assert (max_attempts, True) in blocks
+        assert (2, False) in blocks
 
 
 class TestParamsValidation:
