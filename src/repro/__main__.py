@@ -96,6 +96,7 @@ def _report_store(store, executor=None) -> None:
     the experiment output (CI byte-compares it across cold/warm runs)."""
     if store is not None:
         print(f"[cache] hits={store.hits} misses={store.misses} "
+              f"quarantined={store.quarantines} "
               f"read_mb={store.bytes_read / 1e6:.2f} "
               f"written_mb={store.bytes_written / 1e6:.2f} "
               f"root={store.root}",

@@ -64,6 +64,7 @@ import os
 import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -1074,6 +1075,7 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
             return cached
 
     hit = [key is not None and store.probe(key) for key in keys]
+    hit_keys = [key for key, is_hit in zip(keys, hit) if is_hit]
     n_miss = hit.count(False)
     mode = ("serial" if workers == 1 or n_miss <= 1
             else "reduce" if reduce is not None
@@ -1093,32 +1095,35 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
 
     def sweep(misses: Iterator[tuple[int, Any]]) -> None:
         nonlocal acc, folded_local, folded_workers
-        for index, task in enumerate(manifest):
-            key = keys[index]
-            if hit[index]:
-                try:
-                    value, write = store.get(key), False
-                except KeyError:  # failed verification, or evicted since the probe
-                    value, write = task.execute(), True
-            else:
-                got, value = next(misses)
-                if got != index:
-                    raise RuntimeError(
-                        f"miss stream out of order: got task {got}, expected {index}")
-                write = parent_writes
-            if write and key is not None:
-                store.put(key, value, task=task)
-            if reduce is None:
-                results[index] = value
-                continue
-            if hit[index] or mode != "reduce":  # else a worker's sketch
-                value = reduce.fold(task, value)
-                folded_local += 1
-            else:
-                folded_workers += 1
-            acc = value if acc is None else reduce.merge(acc, value)
-        for got, _ in misses:  # run the stream to its end, and its checks
-            raise RuntimeError(f"miss stream has an extra task {got}")
+        # Opened here, after the pool has forked its workers: reader
+        # threads must not be alive at a fork.
+        with store.read_ahead(hit_keys) if hit_keys else nullcontext():
+            for index, task in enumerate(manifest):
+                key = keys[index]
+                if hit[index]:
+                    try:
+                        value, write = store.get(key), False
+                    except KeyError:  # failed verification, or evicted since the probe
+                        value, write = task.execute(), True
+                else:
+                    got, value = next(misses)
+                    if got != index:
+                        raise RuntimeError(
+                            f"miss stream out of order: got task {got}, expected {index}")
+                    write = parent_writes
+                if write and key is not None:
+                    store.put(key, value, task=task)
+                if reduce is None:
+                    results[index] = value
+                    continue
+                if hit[index] or mode != "reduce":  # else a worker's sketch
+                    value = reduce.fold(task, value)
+                    folded_local += 1
+                else:
+                    folded_workers += 1
+                acc = value if acc is None else reduce.merge(acc, value)
+            for got, _ in misses:  # run the stream to its end, and its checks
+                raise RuntimeError(f"miss stream has an extra task {got}")
 
     if mode == "serial":
         arena_factory = None if reduce is not None else _local_arena_factory

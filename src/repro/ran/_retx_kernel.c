@@ -122,13 +122,15 @@ static void walk_period(
                     if (ok) {
                         a++;
                     } else {
-                        due_r[tail] = i + rtt;
-                        tbs_r[tail] = ts;
-                        att_r[tail] = 1;
-                        ph_r[tail] = pe[j];
-                        tail++;
-                        count++;
                         nk++;
+                        if (max_attempts > 1) {
+                            due_r[tail] = i + rtt;
+                            tbs_r[tail] = ts;
+                            att_r[tail] = 1;
+                            ph_r[tail] = pe[j];
+                            tail++;
+                            count++;
+                        }
                     }
                 }
             }
@@ -154,15 +156,18 @@ static void walk_period(
         }
         int64_t j1 = seg_end - start;
         /* Queue every fresh NACK in the committed range, in slot order:
-         * their due slots lie at or beyond seg_end. */
+         * their due slots lie at or beyond seg_end.  A one-attempt cap
+         * drops them instead. */
         int64_t seg_nacks = 0;
         while (e < j1) {
-            due_r[tail] = start + e + rtt;
-            tbs_r[tail] = special[start + e] ? ts : tf;
-            att_r[tail] = 1;
-            ph_r[tail] = pe[e];
-            tail++;
-            count++;
+            if (max_attempts > 1) {
+                due_r[tail] = start + e + rtt;
+                tbs_r[tail] = special[start + e] ? ts : tf;
+                att_r[tail] = 1;
+                ph_r[tail] = pe[e];
+                tail++;
+                count++;
+            }
             seg_nacks++;
             e++;
             while (e < m && !fm[e])

@@ -472,7 +472,8 @@ def _scalar_slot(trace: SlotTrace, queue: _RetxQueue, pd: _Period, i: int) -> tu
         trace.delivered_bits[i] = tbs
         return 1, 0
     trace.error[i] = True
-    queue.push(i + pd.params.harq_rtt_slots, tbs, 1, float(pd.p_err[i - pd.start]))
+    if pd.params.max_attempts > 1:
+        queue.push(i + pd.params.harq_rtt_slots, tbs, 1, float(pd.p_err[i - pd.start]))
     return 0, 1
 
 

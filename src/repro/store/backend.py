@@ -16,6 +16,11 @@ the payload bytes; any mismatch, unreadable sidecar, or decode failure
 *quarantines* the entry and reports a miss — corruption is always
 recompute-and-heal, never an error.
 
+:meth:`TraceStore.read_ahead` reads a run's upcoming hits on two reader
+threads (file read, SHA-256 and decode release the GIL), a bounded
+window ahead of :meth:`TraceStore.get`, which takes each prefetched
+result in the calling thread and keeps every count there.
+
 The sidecar's mtime doubles as the LRU clock: hits touch it, and
 :meth:`TraceStore.evict` removes oldest-accessed entries until the
 store fits a byte budget (applied automatically after every ``put``
@@ -27,10 +32,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.store import codec
 from repro.store.keys import (
@@ -45,6 +53,14 @@ __all__ = ["StoreStats", "TraceStore"]
 CACHE_DIR_ENV = "REPRO_CACHE"
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
+#: :meth:`TraceStore.read_ahead`'s window: at most this many upcoming
+#: hits in flight, holding at most this many payload bytes (by their
+#: sidecars' ``size``; a lone larger entry is still read ahead), read by
+#: this many threads.
+READ_AHEAD_DEPTH = 4
+READ_AHEAD_BYTES = 32 * 2**20
+READ_AHEAD_THREADS = 2
+
 
 def _check_max_bytes(max_bytes: int) -> None:
     if max_bytes < 0:
@@ -53,7 +69,11 @@ def _check_max_bytes(max_bytes: int) -> None:
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Aggregate state of a store (plus this process's hit/miss tally)."""
+    """Aggregate state of a store (plus this process's tally).
+
+    ``quarantined`` counts the entries in the quarantine directory;
+    ``quarantines`` the entries this process moved there.
+    """
 
     root: str
     entries: int
@@ -63,12 +83,14 @@ class StoreStats:
     misses: int
     bytes_read: int = 0
     bytes_written: int = 0
+    quarantines: int = 0
 
     def render(self) -> str:
         return (f"store {self.root}: {self.entries} entries, "
                 f"{self.total_bytes / 1e6:.2f} MB, "
                 f"{self.quarantined} quarantined; "
                 f"session hits={self.hits} misses={self.misses} "
+                f"quarantined={self.quarantines} "
                 f"read={self.bytes_read / 1e6:.2f}MB "
                 f"written={self.bytes_written / 1e6:.2f}MB")
 
@@ -84,6 +106,7 @@ class StoreStats:
             "misses": self.misses,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
+            "quarantines": self.quarantines,
         }
 
 
@@ -103,6 +126,9 @@ class TraceStore:
         #: reported via :meth:`note_routed_write`.
         self.bytes_read = 0
         self.bytes_written = 0
+        #: Entries this process moved to the quarantine.
+        self.quarantines = 0
+        self._ahead: _ReadAhead | None = None
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         (self.root / "quarantine").mkdir(parents=True, exist_ok=True)
 
@@ -146,50 +172,85 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # Get / put
     # ------------------------------------------------------------------ #
-    def _load(self, key: str) -> Any:
-        """Verified decode of ``key``; raises ``KeyError`` without
-        touching the hit/miss counters (:meth:`get` counts on top).
+    def _sidecar(self, key: str) -> dict:
+        sidecar = json.loads(self._paths(key)[1].read_text())
+        if not isinstance(sidecar, dict):
+            raise ValueError(f"sidecar of {key} is not an object")
+        return sidecar
+
+    def _fetch(self, key: str, sidecar: dict | None = None) -> tuple[Any, int]:
+        """``(value, payload bytes)`` of a verified read and decode of
+        ``key``.  Touches no counter and moves no file, so reader
+        threads may run it: raises ``KeyError`` for an absent entry and
+        :class:`_Corrupt` for one to quarantine.
+        """
+        try:
+            if sidecar is None:
+                sidecar = self._sidecar(key)
+            data = self._paths(key)[0].read_bytes()
+        except FileNotFoundError:
+            raise KeyError(key) from None
+        except (ValueError, OSError):  # bad JSON or UTF-8, unreadable file
+            raise _Corrupt(key) from None
+        if sha256(data).hexdigest() != sidecar.get("sha256"):
+            raise _Corrupt(key)
+        try:
+            return codec.decode(data), len(data)
+        except Exception:
+            raise _Corrupt(key) from None
+
+    def _load(self, key: str, fetched: Future | None = None) -> Any:
+        """Verified decode of ``key`` (or the read-ahead's ``fetched``
+        result for it); raises ``KeyError`` without touching the
+        hit/miss counters (:meth:`get` counts on top).
 
         A corrupted entry (hash mismatch, unreadable sidecar, decode
         failure) is quarantined so it is recomputed, not re-read.
         """
-        payload_path, sidecar_path = self._paths(key)
         try:
-            sidecar = json.loads(sidecar_path.read_text())
-            data = payload_path.read_bytes()
-        except FileNotFoundError:
-            raise KeyError(key) from None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._quarantine(key)
-            raise KeyError(key) from None
-        if sha256(data).hexdigest() != sidecar.get("sha256"):
+            value, n_bytes = fetched.result() if fetched is not None else self._fetch(key)
+        except _Corrupt:
             self._quarantine(key)
             raise KeyError(key) from None
         try:
-            value = codec.decode(data)
-        except Exception:
-            self._quarantine(key)
-            raise KeyError(key) from None
-        try:
-            os.utime(sidecar_path)  # LRU clock
+            os.utime(self._paths(key)[1])  # LRU clock
         except OSError:
             pass  # concurrently evicted; the value is still good
-        self.bytes_read += len(data)
+        self.bytes_read += n_bytes
         return value
 
     def get(self, key: str) -> Any:
         """Decoded result for ``key``; raises ``KeyError`` on a miss.
 
         A corrupted entry (hash mismatch, unreadable sidecar, decode
-        failure) is quarantined and reported as a miss.
+        failure) is quarantined and reported as a miss.  Inside
+        :meth:`read_ahead`, the next key of its window is taken from
+        the reader threads; every count stays in the calling thread.
         """
+        fetched = self._ahead.take(key) if self._ahead is not None else None
         try:
-            value = self._load(key)
+            value = self._load(key, fetched)
         except KeyError:
             self.misses += 1
             raise
         self.hits += 1
         return value
+
+    @contextmanager
+    def read_ahead(self, keys: Iterable[str]) -> Iterator[None]:
+        """Read the entries ``keys`` ahead of the :meth:`get` calls that
+        will ask for them, in that order, on :data:`READ_AHEAD_THREADS`
+        threads within a :data:`READ_AHEAD_DEPTH` / :data:`READ_AHEAD_BYTES`
+        window.  A ``get`` out of that order reads synchronously.  The
+        threads are joined on exit, whether the body returns or raises.
+        """
+        ahead = _ReadAhead(self, keys)
+        self._ahead = ahead
+        try:
+            yield
+        finally:
+            self._ahead = None
+            ahead.close()
 
     def probe(self, key: str) -> bool:
         """Cheap existence probe (sidecar stat, no verification) that
@@ -249,12 +310,16 @@ class TraceStore:
         os.replace(tmp, path)
 
     def _quarantine(self, key: str) -> None:
-        """Move a corrupted entry aside so it is recomputed, not re-read."""
+        """Move a corrupted entry aside so it is recomputed, not re-read,
+        and count it."""
+        moved = False
         for path in self._paths(key):
             try:
                 os.replace(path, self.root / "quarantine" / path.name)
+                moved = True
             except FileNotFoundError:
                 pass
+        self.quarantines += moved
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -272,7 +337,8 @@ class TraceStore:
         quarantined = sum(1 for p in (self.root / "quarantine").glob("*.npz"))
         return StoreStats(root=str(self.root), entries=entries, total_bytes=total,
                           quarantined=quarantined, hits=self.hits, misses=self.misses,
-                          bytes_read=self.bytes_read, bytes_written=self.bytes_written)
+                          bytes_read=self.bytes_read, bytes_written=self.bytes_written,
+                          quarantines=self.quarantines)
 
     def verify(self) -> tuple[int, list[str]]:
         """Re-hash every entry; quarantine mismatches.
@@ -347,3 +413,52 @@ class TraceStore:
             total -= size
             evicted.append(key)
         return evicted
+
+
+class _Corrupt(Exception):
+    """An entry failed verification or decoding: quarantine it."""
+
+
+class _ReadAhead:
+    """The window of :meth:`TraceStore.read_ahead`: upcoming keys, each
+    submitted to the reader threads with its sidecar once the window has
+    room for its ``size``."""
+
+    def __init__(self, store: TraceStore, keys: Iterable[str]) -> None:
+        self.store = store
+        self.upcoming = deque(keys)
+        #: ``(key, future or None, size)`` in :meth:`TraceStore.get` order;
+        #: ``None`` leaves the read, and its failure, to ``get`` itself.
+        self.window: deque[tuple[str, Future | None, int]] = deque()
+        self.window_bytes = 0
+        self.pool = ThreadPoolExecutor(READ_AHEAD_THREADS,
+                                       thread_name_prefix="repro-read-ahead")
+        self.fill()
+
+    def fill(self) -> None:
+        while self.upcoming and len(self.window) < READ_AHEAD_DEPTH:
+            key = self.upcoming[0]
+            try:
+                sidecar = self.store._sidecar(key)
+                size = int(sidecar["size"])
+            except (OSError, ValueError, KeyError, TypeError):
+                sidecar, size = None, 0
+            if self.window and self.window_bytes + size > READ_AHEAD_BYTES:
+                return
+            self.upcoming.popleft()
+            future = (self.pool.submit(self.store._fetch, key, sidecar)
+                      if sidecar is not None else None)
+            self.window.append((key, future, size))
+            self.window_bytes += size
+
+    def take(self, key: str) -> Future | None:
+        """The read of ``key`` if it heads the window, else ``None``."""
+        if not self.window or self.window[0][0] != key:
+            return None
+        _, future, size = self.window.popleft()
+        self.window_bytes -= size
+        self.fill()
+        return future
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True, cancel_futures=True)

@@ -16,10 +16,13 @@ traces always serialize to identical bytes.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io as _io
 import json
+import struct
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -189,16 +192,141 @@ def npz_bytes(arrays: dict[str, np.ndarray], meta: dict) -> bytes:
     return buffer.getvalue()
 
 
+#: Zip records :func:`npz_arrays` reads: the end-of-central-directory
+#: record, a central directory entry and a local file header.
+_ZIP_END = struct.Struct("<4s4H2LH")
+_ZIP_CENTRAL = struct.Struct("<4s6H3L5H2L")
+_ZIP_LOCAL = struct.Struct("<4s5H3L2H")
+_ZIP64_MARK = 0xFFFFFFFF
+
+#: Parsed npy headers by format version and header bytes.  Columns of
+#: one length share a header, and so do payloads of one session length,
+#: so a decode parses each distinct header once.
+_NPY_HEADERS: dict[tuple[int, bytes], tuple[np.dtype, tuple[int, ...]]] = {}
+_NPY_KEYS = {"descr", "fortran_order", "shape"}
+_NPY_HEADERS_MAX = 256
+
+
+def _zip_members(data: bytes) -> list[tuple[str, bytes | memoryview]]:
+    """``(name, body)`` of every member of a zip archive, each body
+    checked against its CRC-32; deflated bodies are inflated.
+
+    Stored bodies are zero-copy views of ``data``.  Anything malformed
+    (bad signature, a size past the end, a CRC mismatch, an unsupported
+    method or zip64 layout) raises ``ValueError``.
+    """
+    view = memoryview(data)
+    at = data.rfind(b"PK\x05\x06", max(0, len(data) - _ZIP_END.size - 0xFFFF))
+    if at < 0 or at + _ZIP_END.size > len(data):
+        raise ValueError("npz payload has no zip end record")
+    _, _, _, _, count, cd_size, cd_at, _ = _ZIP_END.unpack_from(data, at)
+    if count == 0xFFFF or _ZIP64_MARK in (cd_size, cd_at):
+        raise ValueError("zip64 npz payloads are not supported")
+    if cd_at + cd_size > at:
+        raise ValueError("npz central directory runs past its end record")
+    members = []
+    pos = cd_at
+    for _ in range(count):
+        if pos + _ZIP_CENTRAL.size > at:
+            raise ValueError("npz central directory is truncated")
+        (sig, _, _, flags, method, _, _, crc, csize, usize, name_len, extra_len,
+         comment_len, _, _, _, local_at) = _ZIP_CENTRAL.unpack_from(data, pos)
+        if sig != b"PK\x01\x02":
+            raise ValueError("bad npz central directory signature")
+        name = data[pos + _ZIP_CENTRAL.size:pos + _ZIP_CENTRAL.size + name_len].decode(
+            "utf-8" if flags & 0x800 else "cp437")
+        pos += _ZIP_CENTRAL.size + name_len + extra_len + comment_len
+        if flags & 0x1 or _ZIP64_MARK in (csize, usize, local_at):
+            raise ValueError(f"npz member {name!r} is encrypted or zip64")
+        if local_at + _ZIP_LOCAL.size > len(data):
+            raise ValueError(f"npz member {name!r} starts past the end")
+        sig, *_, local_name_len, local_extra_len = _ZIP_LOCAL.unpack_from(data, local_at)
+        if sig != b"PK\x03\x04":
+            raise ValueError(f"bad local header signature for npz member {name!r}")
+        body_at = local_at + _ZIP_LOCAL.size + local_name_len + local_extra_len
+        if body_at + csize > len(data):
+            raise ValueError(f"npz member {name!r} runs past the end")
+        body = view[body_at:body_at + csize]
+        if method == zipfile.ZIP_DEFLATED:
+            try:
+                body = zlib.decompress(body, -15, usize)
+            except zlib.error as exc:
+                raise ValueError(f"npz member {name!r} does not inflate: {exc}") from None
+        elif method != zipfile.ZIP_STORED:
+            raise ValueError(f"npz member {name!r} uses zip method {method}")
+        if len(body) != usize or zlib.crc32(body) != crc:
+            raise ValueError(f"npz member {name!r} fails its CRC-32 check")
+        members.append((name, body))
+    return members
+
+
+def _npy_header(major: int, header: bytes) -> tuple[np.dtype, tuple[int, ...]]:
+    """``(dtype, shape)`` of an npy header dict, memoized by its bytes."""
+    parsed = _NPY_HEADERS.get((major, header))
+    if parsed is not None:
+        return parsed
+    try:
+        fields = ast.literal_eval(header.decode("utf8" if major == 3 else "latin1"))
+        if not isinstance(fields, dict) or fields.keys() != _NPY_KEYS:
+            raise ValueError(f"header keys are not {sorted(_NPY_KEYS)}")
+        descr, fortran, shape = fields["descr"], fields["fortran_order"], fields["shape"]
+        dtype = np.lib.format.descr_to_dtype(descr)
+    except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError) as exc:
+        raise ValueError(f"bad npy header {header[:80]!r}: {exc}") from None
+    if dtype.hasobject:
+        raise ValueError("npy member holds an object dtype")
+    if fortran is not False:
+        raise ValueError("npy member is not C-ordered")
+    if not (isinstance(shape, tuple)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"bad npy shape {shape!r}")
+    if len(_NPY_HEADERS) >= _NPY_HEADERS_MAX:
+        _NPY_HEADERS.clear()
+    _NPY_HEADERS[major, header] = parsed = (dtype, shape)
+    return parsed
+
+
+def _npy_array(name: str, body: bytes | memoryview) -> np.ndarray:
+    """One npy member's array, copied out of ``body``: aligned,
+    writable and owning its data, as ``np.load`` returns it."""
+    if bytes(body[:6]) != b"\x93NUMPY" or len(body) < 10:
+        raise ValueError(f"npz member {name!r} is not an npy array")
+    major = body[6]
+    if major == 1:
+        header_at, header_len = 10, int.from_bytes(body[8:10], "little")
+    elif major in (2, 3):
+        header_at, header_len = 12, int.from_bytes(body[8:12], "little")
+    else:
+        raise ValueError(f"npz member {name!r} has npy version {major}")
+    data_at = header_at + header_len
+    dtype, shape = _npy_header(major, bytes(body[header_at:data_at]))
+    count = 1
+    for n in shape:
+        count *= n
+    if len(body) - data_at != count * dtype.itemsize:
+        raise ValueError(f"npz member {name!r} holds {len(body) - data_at} data "
+                         f"bytes, its header says {count * dtype.itemsize}")
+    if count * dtype.itemsize == 0:
+        return np.empty(shape, dtype=dtype)
+    return np.frombuffer(body, dtype=dtype, count=count, offset=data_at).reshape(shape).copy()
+
+
 def npz_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`npz_bytes`: ``(arrays, meta)`` from npz bytes."""
-    with np.load(_io.BytesIO(data), allow_pickle=False) as archive:
-        names = [name for name in archive.files if name != "_meta"]
-        arrays = {name: archive[name] for name in names}
-        if "_meta" in archive.files:
-            meta = json.loads(str(np.asarray(archive["_meta"]).reshape(-1)[0]))
-        else:
-            meta = {}
-    return arrays, meta
+    """Inverse of :func:`npz_bytes`: ``(arrays, meta)`` from npz bytes.
+
+    Decodes the zip container directly (see :func:`_zip_members`), so a
+    read costs one CRC pass and one copy per column; it also reads any
+    ``np.savez`` or ``np.savez_compressed`` file.  Returns what
+    ``np.load`` would; raises ``ValueError`` on any malformed payload.
+    """
+    arrays = {}
+    for member, body in _zip_members(data):
+        name = member[:-4] if member.endswith(".npy") else member
+        if name in arrays:
+            raise ValueError(f"npz payload repeats member {member!r}")
+        arrays[name] = _npy_array(member, body)
+    meta = arrays.pop("_meta", None)
+    return arrays, {} if meta is None else json.loads(str(meta.reshape(-1)[0]))
 
 
 def trace_to_arrays(trace: SlotTrace, prefix: str = "") -> dict[str, np.ndarray]:

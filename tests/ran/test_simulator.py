@@ -324,7 +324,7 @@ def _harq_blocks(trace, params):
 
 class TestHarqAttemptCap:
     @pytest.mark.parametrize("engine", ["reference", ""], ids=["reference", "policy"])
-    @pytest.mark.parametrize("max_attempts", [2, 3])
+    @pytest.mark.parametrize("max_attempts", [1, 2, 3])
     def test_block_sent_at_most_max_attempts_times(self, cell_90mhz, engine,
                                                    max_attempts, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", engine)
@@ -333,6 +333,10 @@ class TestHarqAttemptCap:
                                   rng=np.random.default_rng(3), params=params)
         blocks = _harq_blocks(trace, params)
         assert max(sent for sent, _ in blocks) == max_attempts
+        if max_attempts == 1:  # a failed new transmission is dropped at once
+            assert not trace.is_retx.any()
+            assert (1, True) in blocks
+            return
         # Some blocks fail every attempt and are dropped; others recover
         # on their first retransmission.
         assert (max_attempts, True) in blocks

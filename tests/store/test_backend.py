@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,40 @@ class TestQuarantineRecompute:
         for a, b in zip(first, third):
             assert np.array_equal(a.delivered_bits, second[0].delivered_bits)
             assert np.array_equal(a.delivered_bits, b.delivered_bits)
+
+    def test_hash_matching_malformed_payload_recomputed(self, tmp_path):
+        """A payload that passes the SHA-256 check but fails the npz
+        decoder (here: a member's CRC-32) is quarantined, counted,
+        recomputed and written back intact."""
+        from hashlib import sha256
+
+        from repro.core.runner import run_tasks
+
+        store = TraceStore(tmp_path / "cache")
+        manifest = self._manifest()
+        first = run_tasks(manifest, jobs=1, store=store)
+        [payload] = (store.root / "objects").glob("*/*.npz")
+        sidecar = payload.with_suffix(".json")
+        good_bytes = payload.read_bytes()
+        # Flip a byte of the first member's array data, past its
+        # local header and npy header.
+        name_len, extra_len = struct.unpack_from("<HH", good_bytes, 26)
+        body = 30 + name_len + extra_len
+        bad = bytearray(good_bytes)
+        bad[body + 10 + struct.unpack_from("<H", good_bytes, body + 8)[0]] ^= 0x01
+        payload.write_bytes(bytes(bad))
+        document = json.loads(sidecar.read_text())
+        document["sha256"] = sha256(bytes(bad)).hexdigest()
+        sidecar.write_text(json.dumps(document))
+
+        store = TraceStore(tmp_path / "cache")
+        second = run_tasks(manifest, jobs=1, store=store)
+        assert (store.hits, store.misses, store.quarantines) == (0, 1, 1)
+        assert store.stats().to_dict()["quarantines"] == 1
+        assert (store.root / "quarantine" / payload.name).read_bytes() == bytes(bad)
+        assert payload.read_bytes() == good_bytes
+        assert np.array_equal(first[0].delivered_bits, second[0].delivered_bits)
+        assert store.verify() == (1, [])
 
 
 _WRITER_SNIPPET = """

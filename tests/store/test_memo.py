@@ -1,5 +1,9 @@
 """Tests for the memoizing runner — run_tasks(..., store=...)."""
 
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from repro.store.codec import encode
 from repro.xcal.records import SlotTrace, TraceMetadata
 
 MARKER_DIR_KW = "marker_dir"
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _traced_session(n_slots: int, seed: int, marker_dir: str) -> SlotTrace:
@@ -252,3 +257,130 @@ class TestCampaignMemoization:
             assert [p.name for p in cold_paths] == [p.name for p in warm_paths]
             for a, b, c in zip(cold_paths, warm_paths, plain_paths):
                 assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def _boom(seed: int) -> SlotTrace:
+    raise RuntimeError(f"session {seed} failed")
+
+
+_FORK_AFTER_WARM_SNIPPET = """
+import os
+import sys
+import threading
+from repro.core.runner import CampaignExecutor, run_tasks
+from repro.operators.profiles import EU_PROFILES
+from repro.store import TraceStore
+from repro.xcal.dataset import CampaignSpec, campaign_manifest
+
+profiles = {"V_Sp": EU_PROFILES["V_Sp"]}
+warm = campaign_manifest(profiles, CampaignSpec(minutes_per_operator=0.05,
+                                                session_s=1.0, seed=5))
+cold = campaign_manifest(profiles, CampaignSpec(minutes_per_operator=0.05,
+                                                session_s=1.0, seed=6))
+threads_at_fork = []
+os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
+store = TraceStore(sys.argv[1])
+run_tasks(warm, jobs=1, store=store)
+with CampaignExecutor(jobs=2, store=store) as executor:
+    run_tasks(warm, store=store, executor=executor)
+    assert store.hits == len(warm) and executor.pools_created == 0
+    run_tasks(cold, store=store, executor=executor)
+    assert executor.pools_created == 1
+assert threads_at_fork and max(threads_at_fork) == 1, threads_at_fork
+print("ok")
+"""
+
+
+class TestReadAhead:
+    """``run_tasks`` reads upcoming hits ahead on reader threads
+    (``TraceStore.read_ahead``); what it returns and counts must equal
+    serial ``get`` calls, failures included."""
+
+    N_TASKS = 11  # several read-ahead windows
+
+    def _filled(self, tmp_path) -> tuple[list[SessionTask], list[str]]:
+        manifest = _manifest(tmp_path, n_tasks=self.N_TASKS)
+        store = TraceStore(tmp_path / "cache")
+        run_tasks(manifest, store=store)
+        return manifest, [store.task_key(task) for task in manifest]
+
+    def test_warm_run_equals_serial_gets(self, tmp_path, monkeypatch):
+        from repro.store import backend
+
+        manifest, keys = self._filled(tmp_path)
+        serial = TraceStore(tmp_path / "cache")
+        expected = [serial.get(key) for key in keys]
+        threads = []
+        fetch = backend.TraceStore._fetch
+
+        def spy(store, key, sidecar=None):
+            threads.append(threading.current_thread().name)
+            return fetch(store, key, sidecar)
+
+        monkeypatch.setattr(backend.TraceStore, "_fetch", spy)
+        warm = TraceStore(tmp_path / "cache")
+        results = run_tasks(manifest, store=warm)
+        _assert_same_results(results, expected)
+        assert (warm.hits, warm.misses, warm.bytes_read) == \
+            (serial.hits, serial.misses, serial.bytes_read) == \
+            (self.N_TASKS, 0, serial.bytes_read)
+        assert warm.quarantines == 0
+        assert len(threads) == self.N_TASKS
+        assert all(name.startswith("repro-read-ahead") for name in threads)
+        assert _executions(tmp_path) == self.N_TASKS
+
+    @pytest.mark.parametrize("damage", ["corrupt", "payload_gone", "entry_gone"])
+    def test_failed_middle_hit_recomputed_in_order(self, tmp_path, monkeypatch, damage):
+        """A middle entry corrupted on disk, or deleted between the
+        probe and the read, is recomputed once, written back and
+        returned at its own index."""
+        manifest, keys = self._filled(tmp_path)
+        victim = keys[self.N_TASKS // 2]
+        store = TraceStore(tmp_path / "cache")
+        payload, sidecar = store._paths(victim)
+        if damage == "corrupt":
+            data = bytearray(payload.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            payload.write_bytes(bytes(data))
+        else:
+            probe = store.probe
+
+            def probe_then_delete(key):
+                found = probe(key)
+                if key == victim:
+                    payload.unlink()
+                    if damage == "entry_gone":
+                        sidecar.unlink()
+                return found
+
+            monkeypatch.setattr(store, "probe", probe_then_delete)
+        results = run_tasks(manifest, store=store)
+        _assert_same_results(results, run_tasks(manifest))
+        assert (store.hits, store.misses) == (self.N_TASKS - 1, 1)
+        assert store.quarantines == (damage == "corrupt")
+        assert _executions(tmp_path) == 2 * self.N_TASKS + 1  # + the uncached run
+        assert payload.exists() and sidecar.exists()  # written back
+        assert TraceStore(tmp_path / "cache").verify() == (self.N_TASKS, [])
+
+    def test_threads_joined_on_return_and_on_raise(self, tmp_path):
+        manifest, _ = self._filled(tmp_path)
+        before = threading.active_count()
+        run_tasks(manifest, store=TraceStore(tmp_path / "cache"))
+        assert threading.active_count() == before
+        broken = manifest[:5] + [SessionTask(fn=_boom, seed=99, label="boom")] + manifest[5:]
+        with pytest.raises(RuntimeError, match="session 99 failed"):
+            run_tasks(broken, store=TraceStore(tmp_path / "cache"))
+        assert threading.active_count() == before
+
+    def test_no_fork_with_reader_threads_alive(self, tmp_path):
+        """A warm run and then a cold ``jobs=2`` run on one executor: the
+        pool forks after the warm run's reader threads are joined, so
+        no fork-with-threads warning fires."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c",
+             _FORK_AFTER_WARM_SNIPPET, str(tmp_path / "cache")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert "DeprecationWarning" not in proc.stderr

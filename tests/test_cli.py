@@ -362,7 +362,7 @@ class TestCacheJsonStats:
         assert document["root"] == cache
         assert set(document) == {"root", "entries", "total_bytes",
                                  "quarantined", "hits", "misses",
-                                 "bytes_read", "bytes_written"}
+                                 "bytes_read", "bytes_written", "quarantines"}
 
 
 class TestTopLevelApi:

@@ -212,3 +212,129 @@ class TestMetadataFieldTypes:
         assert meta.bandwidth_mhz == 90.0 and isinstance(meta.bandwidth_mhz, float)
         assert meta.scs_khz == 30 and isinstance(meta.scs_khz, int)
         assert meta.seed is None
+
+
+def _np_load(data: bytes) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    """What ``np.load`` reads from an npz blob: ordered members, meta."""
+    import io
+    import json
+
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        members = [(name, archive[name]) for name in archive.files if name != "_meta"]
+        meta = (json.loads(str(archive["_meta"].reshape(-1)[0]))
+                if "_meta" in archive.files else {})
+    return members, meta
+
+
+def _filled_trace(n: int, seed: int) -> SlotTrace:
+    trace = SlotTrace.empty(n, metadata=TraceMetadata(operator="npz", seed=seed))
+    rng = np.random.default_rng(seed)
+    trace.scheduled[:] = rng.random(n) < 0.7
+    trace.n_prb[:] = rng.integers(0, 276, n)
+    trace.tbs_bits[:] = rng.integers(0, 1_300_000, n)
+    trace.sinr_db[:] = rng.normal(15.0, 5.0, n)
+    return trace
+
+
+def _payload(kind: str) -> bytes:
+    """One npz blob of each layout the store and the exporters write."""
+    import io
+    from types import SimpleNamespace
+
+    from repro.core.reduce import CampaignReduction
+    from repro.ran.ca import AggregatedResult
+    from repro.store import codec
+    from repro.xcal.io import _metadata_pairs, trace_to_arrays
+
+    trace = _filled_trace(40, 3)
+    if kind == "trace":
+        return codec.encode(trace)
+    if kind == "ca":
+        return codec.encode(AggregatedResult(per_carrier=[trace, _filled_trace(40, 4)]))
+    if kind == "sketch":
+        reduction = CampaignReduction(group_mode="label")
+        return codec.encode(reduction.fold(SimpleNamespace(label="s"), trace))
+    if kind == "old_layout":  # int64 integer columns, as before the narrow schema
+        wide = {name: col.astype(np.int64) if col.dtype.kind == "i" else col
+                for name, col in trace_to_arrays(trace).items()}
+        return npz_bytes(wide, {"kind": "trace", "trace": _metadata_pairs(trace)})
+    if kind == "empty":
+        return trace_npz_bytes(SlotTrace.empty(0))
+    buffer = io.BytesIO()
+    save = np.savez_compressed if kind == "savez_compressed" else np.savez
+    save(buffer, x=np.arange(300, dtype=">i4"), grid=np.eye(3), flags=np.ones(5, bool),
+         label=np.array("héllo"), none=np.zeros((0, 4)))
+    return buffer.getvalue()
+
+
+class TestNpzDecoder:
+    """``npz_arrays`` decodes the zip container itself; it must read
+    exactly what ``np.load`` reads, and refuse what is malformed."""
+
+    @pytest.mark.parametrize("kind", ["trace", "ca", "sketch", "old_layout", "empty",
+                                      "savez", "savez_compressed"])
+    def test_equals_np_load(self, kind):
+        data = _payload(kind)
+        expected, expected_meta = _np_load(data)
+        arrays, meta = npz_arrays(data)
+        assert meta == expected_meta
+        assert list(arrays) == [name for name, _ in expected]
+        for name, want in expected:
+            got = arrays[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+    def test_columns_writable_aligned_owning(self):
+        arrays, _ = npz_arrays(_payload("ca"))
+        for name, array in arrays.items():
+            assert array.flags.writeable and array.flags.aligned, name
+            assert array.flags.owndata and array.flags.c_contiguous, name
+
+    def test_read_npz_matches_np_load(self, sample_trace, tmp_path):
+        path = write_npz(sample_trace, tmp_path / "t.npz")
+        expected, _ = _np_load(path.read_bytes())
+        recovered = read_npz(path)
+        for name, want in expected:
+            assert np.array_equal(recovered.column(name), want), name
+
+    @staticmethod
+    def _body_offset(data: bytes) -> int:
+        """Offset of the first data byte of the first member's array."""
+        import struct
+
+        name_len, extra_len = struct.unpack_from("<HH", data, 26)
+        body = 30 + name_len + extra_len
+        header_len = struct.unpack_from("<H", data, body + 8)[0]
+        return body + 10 + header_len
+
+    def test_flipped_body_byte_fails_crc(self):
+        data = bytearray(_payload("trace"))
+        data[self._body_offset(bytes(data))] ^= 0x01
+        with pytest.raises(ValueError, match="CRC"):
+            npz_arrays(bytes(data))
+
+    @pytest.mark.parametrize("keep", [0.25, 0.5, 0.9, 0.999])
+    def test_truncated_blob(self, keep):
+        data = _payload("trace")
+        with pytest.raises(ValueError):
+            npz_arrays(data[:int(len(data) * keep)])
+
+    def test_bad_local_signature(self):
+        data = bytearray(_payload("trace"))
+        assert data[:4] == b"PK\x03\x04"
+        data[:4] = b"PK\x00\x00"
+        with pytest.raises(ValueError, match="signature"):
+            npz_arrays(bytes(data))
+
+    def test_object_dtype_rejected(self):
+        import io
+        import zipfile
+
+        member = io.BytesIO()
+        np.lib.format.write_array(member, np.array([1, "a"], dtype=object),
+                                  allow_pickle=True)
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("x.npy", member.getvalue())
+        with pytest.raises(ValueError, match="object"):
+            npz_arrays(buffer.getvalue())
