@@ -19,9 +19,8 @@ Commands
     Run one tracked benchmark workload from the table in
     :mod:`repro.core.bench`: ``--workload slot`` (default, the slot
     engines, ``BENCH_slot_engine.json``), ``campaign`` (the execution
-    layer end to end, ``BENCH_campaign.json``), ``reduce`` (the
-    streaming-reduction path, ``BENCH_reduce.json``) or ``tensor`` (the
-    cohort engine against the per-session engine, ``BENCH_tensor.json``).
+    layer end to end, ``BENCH_campaign.json``) or ``reduce`` (the
+    streaming-reduction path, ``BENCH_reduce.json``).
     ``--baseline FILE`` gates the run against a committed report of the
     same workload: exit 1 on a hardware-normalized regression or a
     missed intra-report floor, exit 2 before measuring when the
@@ -354,11 +353,11 @@ def main(argv: list[str] | None = None) -> int:
 
     bench_parser = sub.add_parser("bench", help="tracked benchmarks")
     bench_parser.add_argument("--workload",
-                              choices=("slot", "campaign", "reduce", "tensor"),
+                              choices=("slot", "campaign", "reduce"),
                               default="slot",
                               help="slot engines (default), the campaign "
-                                   "execution layer, the streaming reduction "
-                                   "path, or the cohort tensor engine")
+                                   "execution layer, or the streaming "
+                                   "reduction path")
     bench_parser.add_argument("--history", action="store_true",
                               help="fold every committed BENCH_*.json into one "
                                    "trajectory report instead of running a "
@@ -368,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     bench_parser.add_argument("--seed", type=int, default=2024)
     bench_parser.add_argument("--jobs", type=_jobs_arg, default="auto", metavar="N|auto",
                               help="worker count for the campaign and reduce "
-                                   "workloads (default auto); slot and tensor "
-                                   "run serially")
+                                   "workloads (default auto); slot runs "
+                                   "serially")
     bench_parser.add_argument("--out", type=Path, default=None, metavar="FILE",
                               help="write the JSON report here (e.g. "
                                    "BENCH_slot_engine.json, BENCH_campaign.json)")

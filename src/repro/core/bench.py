@@ -1,6 +1,6 @@
 """Tracked benchmarks — the ``repro bench`` subcommand.
 
-Four tracked workloads, selected with ``--workload``; each is one
+Three tracked workloads, selected with ``--workload``; each is one
 :data:`WORKLOADS` entry, which :func:`measure`,
 :func:`regression_failures` and :func:`render` look up:
 
@@ -24,14 +24,9 @@ Four tracked workloads, selected with ``--workload``; each is one
   path, plus an exact-vs-sketch KPI oracle and (full mode) a
   10^4-session bounded-memory demonstration.
   Report: ``BENCH_reduce.json``.
-- ``tensor`` — the cross-session cohort engine: sessions/sec of
-  maximal same-shape DL cohorts through the ``(sessions, slots)``
-  tensor pass against the identical manifest pinned to the per-session
-  reference engine, serial jobs=1, cold and warm.
-  Report: ``BENCH_tensor.json``.
 
-The slot and tensor workloads choose engines only through the one
-engine switch, ``$REPRO_ENGINE`` (see :func:`_pinned_engine`).
+The slot workload chooses engines only through the one engine switch,
+``$REPRO_ENGINE`` (see :func:`_pinned_engine`).
 
 Three measurement conventions keep the numbers honest:
 
@@ -50,8 +45,7 @@ Three measurement conventions keep the numbers honest:
   throughput comparison against a committed baseline is meaningless.
   Each gated row has a reference row measured in the same process
   (the reference engine for ``slot``, the serial jobs=1 cold run for
-  ``campaign``, the exact materializing run for ``reduce``, the
-  per-session reference run for ``tensor``), so the ratio
+  ``campaign``, the exact materializing run for ``reduce``), so the ratio
   ``reference_now / reference_baseline`` estimates the machine-speed
   factor; gated rows are compared after dividing that factor out (see
   :func:`regression_failures`).
@@ -85,7 +79,6 @@ __all__ = [
     "render",
     "render_history",
     "single_ue_trace",
-    "tensor_tasks",
     "write_profile",
     "write_report",
 ]
@@ -101,17 +94,6 @@ _MMWAVE_SCENARIO = "driving"
 #: German deployments spanning 40–90 MHz carriers (a representative
 #: slice of the study without the full nine-operator cost).
 _CAMPAIGN_PROFILE_KEYS = ("V_Sp", "O_Sp_100", "T_Ge", "V_Ge")
-
-#: Operators of the tensor workload.  Two carriers are enough: the gate
-#: compares engines on the *same* manifest, so breadth adds cost, not
-#: signal (the byte-identity tests cover the engine matrix).
-_TENSOR_PROFILE_KEYS = ("V_Sp", "O_Sp_100")
-
-#: Sessions per operator — one maximal cohort per operator (the runner
-#: caps cohort chunks at 64; beyond that the ``(sessions, slots)``
-#: working set thrashes cache and throughput *drops*).
-_TENSOR_COHORT_FULL = 64
-_TENSOR_COHORT_QUICK = 32
 
 #: Keys a timed row's rate may sit under, in lookup order: a slot-engine
 #: row carries cold and warm slots/s and gates on warm.
@@ -674,97 +656,6 @@ def _measure_reduce(quick: bool, seed: int,
     return config, workloads, sections
 
 
-def tensor_tasks(quick: bool = False, seed: int = 2024) -> list:
-    """The tensor benchmark's manifest: maximal same-shape DL cohorts.
-
-    ``ul_fraction=0`` keeps every operator's sessions one contiguous
-    same-shape run, so the runner executes each operator as a single
-    ``(sessions, slots)`` tensor pass at the target cohort size.
-    """
-    cohort = _TENSOR_COHORT_QUICK if quick else _TENSOR_COHORT_FULL
-    session_s = 2.0 if quick else 5.0
-    return _manifest(_TENSOR_PROFILE_KEYS,
-                     minutes_per_operator=cohort * session_s / 60.0,
-                     session_s=session_s, ul_fraction=0.0, seed=seed)
-
-
-def _measure_tensor(quick: bool, seed: int,
-                    jobs: int | str) -> tuple[dict, dict, dict]:
-    """Two engines on the *same* manifest (identical sessions, identical
-    bytes out — the comparison is pure execution cost), serial jobs=1
-    so no pool scheduling blurs the engine difference (``jobs`` is
-    unused):
-
-    - ``session_cold`` / ``session_warm`` — every session through the
-      per-session reference engine, pinned via ``REPRO_ENGINE`` (the
-      cohort grouping still happens; only the engine choice is
-      overridden).  ``session_cold`` is the hardware-normalization
-      reference.
-    - ``tensor_cold`` / ``tensor_warm`` — the engine policy with
-      ``REPRO_ENGINE`` unset: each operator's cohort runs as one
-      ``(sessions, slots)`` tensor pass.
-
-    The report carries the cohort counters (cohorts run, dirty cells,
-    tensor slots/s) and the per-phase wall decomposition from the timed
-    tensor runs.
-    """
-    from repro.core.runner import run_tasks
-    from repro.ran import tensor as tensor_mod
-    from repro.ran._native import kernel_status
-
-    cold_reps = 2 if quick else 3
-    manifest = tensor_tasks(quick, seed)
-    n = len(manifest)
-    run_tasks(campaign_tasks(True, seed + 9)[:2], jobs=1)  # untimed warmup
-    run = partial(run_tasks, manifest, jobs=1)
-
-    def cold_and_warm() -> tuple[dict[str, float], dict[str, float]]:
-        return (_best_of([run] * cold_reps, n),
-                _best_of([run] * 2, n, cold=False))
-
-    workloads: dict[str, Any] = {}
-    with _pinned_engine("reference"):
-        workloads["session_cold"], workloads["session_warm"] = cold_and_warm()
-    tensor_mod.reset_cohort_stats()
-    with _pinned_engine(None):
-        workloads["tensor_cold"], workloads["tensor_warm"] = cold_and_warm()
-    stats = tensor_mod.cohort_stats()
-    kernel = kernel_status()
-    cells = stats["cells"]
-    dirty = stats["dirty_periods"]
-    sections = {
-        "cohort": {
-            "cohorts": stats["cohorts"],
-            "columns": stats["columns"],
-            "cells": cells,
-            "dirty_periods": dirty,
-            "dirty_fraction": round(dirty / cells, 4) if cells else 0.0,
-            "native_kernel": kernel["available"],
-            "native_error": kernel["error"],
-            "tensor_slots_per_s": round(stats["slots"] / stats["seconds"], 1)
-            if stats["seconds"] else 0.0,
-        },
-        # Per-phase wall decomposition, aggregated over the timed tensor
-        # runs: where a cohort pass actually spends its time (pre-draw /
-        # tensor pass / batched retx / flush).
-        "phases": {
-            "predraw_s": round(stats["predraw_s"], 4),
-            "tensor_pass_s": round(stats["pass_s"], 4),
-            "batched_retx_s": round(stats["batched_s"], 4),
-            "flush_s": round(stats["flush_s"], 4),
-            "total_s": round(stats["seconds"], 4),
-        },
-    }
-    config = {
-        "profiles": list(_TENSOR_PROFILE_KEYS),
-        "n_sessions": n,
-        "cohort_size": _TENSOR_COHORT_QUICK if quick else _TENSOR_COHORT_FULL,
-        "cold_reps": cold_reps,
-        "seed": seed,
-    }
-    return config, workloads, sections
-
-
 # --------------------------------------------------------------------- #
 # Checks that are not ratios
 # --------------------------------------------------------------------- #
@@ -775,19 +666,6 @@ def _kpi_oracle_failures(report: dict[str, Any]) -> list[str]:
     if kpi and kpi.get("ok"):
         return []
     return [f"kpi_check: exact-vs-sketch oracle failed ({kpi!r})"]
-
-
-def _cohort_failures(report: dict[str, Any]) -> list[str]:
-    """The tensor report must actually have run tensor cohorts: a policy
-    regression, or a host where the retx kernel does not build, silently
-    degrades every cohort to the per-session engine and would otherwise
-    gate green at 1.0x."""
-    cohort = report.get("cohort", {})
-    if cohort.get("cohorts"):
-        return []
-    return ["cohort: no tensor cohorts ran (engine policy degraded every "
-            "cohort to the per-session engine; native kernel error: "
-            f"{cohort.get('native_error')})"]
 
 
 # --------------------------------------------------------------------- #
@@ -998,45 +876,6 @@ WORKLOADS: dict[str, Workload] = {
                      "({peak_vs_reduce_cold:.2f}x the reduce_cold peak)"),
         ),
     ),
-    "tensor": Workload(
-        bench="tensor",
-        file="BENCH_tensor.json",
-        run=_measure_tensor,
-        ratios=(
-            ("tensor_cold_vs_session_cold", ("tensor_cold",), ("session_cold",)),
-            ("tensor_warm_vs_session_warm", ("tensor_warm",), ("session_warm",)),
-        ),
-        normalized=((("tensor_cold",), ("session_cold",)),),
-        floors=(
-            # The cohort pass must beat the per-session reference engine
-            # on the same manifest by at least this factor on a cold
-            # campaign, else the sessions axis is not paying for its
-            # bookkeeping.  The bars were 2.5x full and 2.0x quick over
-            # the per-session vectorized engine; that engine is gone,
-            # so each bar is scaled by its same-manifest session_cold
-            # vectorized/reference ratio (median of 5 alternating runs
-            # per mode on a 2-CPU host: 1.56x full, 1.42x quick) and
-            # rounded up, so neither bar got lower.  Quick mode keeps
-            # its extra slack because sub-second walls are noisier.
-            # Cohorts need the compiled retx kernel (any C compiler on
-            # PATH — true for CI runners); without it no cohort runs and
-            # _cohort_failures names the kernel's load error.
-            Floor("tensor_cold_vs_session_cold",
-                  ("speedup", "tensor_cold_vs_session_cold"), 3.9,
-                  "the cohort pass must beat the per-session engine it batches",
-                  quick=2.85),
-        ),
-        check=_cohort_failures,
-        sections=(
-            ("cohort", "cohorts={cohorts} columns={columns} "
-                       "dirty_periods={dirty_periods} "
-                       "tensor_slots_per_s={tensor_slots_per_s:,.0f}"),
-            ("cohort", "dirty={dirty_fraction:.1%} of {cells} cells"),
-            ("phases", "phases: predraw={predraw_s:.2f}s "
-                       "tensor_pass={tensor_pass_s:.2f}s "
-                       "batched_retx={batched_retx_s:.2f}s flush={flush_s:.2f}s"),
-        ),
-    ),
 }
 
 _BY_BENCH = {workload.bench: workload for workload in WORKLOADS.values()}
@@ -1175,11 +1014,11 @@ def history_report(root: Path | str = ".") -> dict[str, Any]:
     trajectory report.
 
     Each tracked benchmark writes its own report file; reading the
-    performance story of the repo therefore meant opening four JSON
-    files by hand.  This folds their headline numbers — each timed
+    performance story of the repo therefore meant opening each JSON
+    file by hand.  This folds their headline numbers — each timed
     row's rate (sessions/s, or warm slots/s per slot engine, read
-    through the same accessor as the gate), the speedup ratios, and the
-    tensor engine's phase decomposition — into a single dict (and, via
+    through the same accessor as the gate) and the speedup ratios —
+    into a single dict (and, via
     :func:`render_history`, a single table).  Files that do not parse
     or do not look like bench reports are listed under ``"skipped"``
     instead of aborting the fold, so one corrupt artifact cannot hide
@@ -1213,10 +1052,6 @@ def history_report(root: Path | str = ".") -> dict[str, Any]:
                 k: v for k, v in speedup.items()
                 if isinstance(v, (int, float))
             }
-        phases = data.get("phases")
-        if isinstance(phases, dict) and phases.get("total_s"):
-            entry["flush_share"] = round(
-                phases.get("flush_s", 0.0) / phases["total_s"], 3)
         entries.append(entry)
     return {
         "bench": "history",
@@ -1242,9 +1077,6 @@ def render_history(report: dict[str, Any]) -> str:
             lines.append(f"    {name:22s} {value:>10,.2f} /s")
         for name, value in entry.get("speedup", {}).items():
             lines.append(f"    {name:40s} {value:>6.2f}x")
-        if "flush_share" in entry:
-            lines.append(f"    {'flush share of tensor wall':40s} "
-                         f"{entry['flush_share'] * 100:>5.1f}%")
     for item in report.get("skipped", []):
         lines.append(f"  skipped {item}")
     return "\n".join(lines)

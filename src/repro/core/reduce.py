@@ -35,7 +35,7 @@ Determinism: a sketch folded from the same manifest is byte-identical
 (via :func:`repro.store.codec.encode`) for any worker count and either
 transport, because workers ship *per-task* sketches and the parent
 merges them in manifest order — the merge tree never depends on
-scheduling.  Cohort execution keeps that shape: a cohort tensor pass
+scheduling.  Cohort execution keeps that shape: a cohort call
 yields its columns one at a time in cohort (manifest) order, each
 folded into a per-task sketch as it streams out, so the fold never
 materializes a cohort's traces together and the merge tree is the

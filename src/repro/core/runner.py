@@ -25,8 +25,8 @@ sessions.  This module gives them one execution engine:
    the sweep reaches it (the process pool is never started when
    everything hits), a miss comes from one stream of executed chunks.
    Every lookup counts once, as a hit or a miss.  Parallel results move
-   through ``multiprocessing.shared_memory``: a worker flushes its
-   cohort straight into a shared-memory trace arena
+   through ``multiprocessing.shared_memory``: a worker packs its
+   cohort's traces into a shared-memory trace arena
    (:class:`repro.xcal.arena.CohortArena`) and ships only
    ``(segment name, layout, row index)`` over the pipe; the parent
    re-attaches and materializes traces as zero-copy numpy views.
@@ -40,10 +40,11 @@ sessions.  This module gives them one execution engine:
 5. **Pool reuse** — :class:`CampaignExecutor` keeps one warm process
    pool alive across many ``run_tasks`` calls (a whole ``repro
    campaign`` / multi-experiment ``repro run``), with a worker
-   initializer that opens the per-worker store handle once and
-   pre-warms the TBS lookup-matrix cache.  A transient pool of a
-   ``jobs>1`` call gets the same initializer, except under the pipe
-   transport, whose workers write nothing.
+   initializer that opens the per-worker store handle once.  A
+   transient pool of a ``jobs>1`` call gets the same initializer,
+   except under the pipe transport, whose workers write nothing.
+   Workers build TBS lookup matrices on first use, as a serial run
+   does.
 6. **Streaming reduction** — ``run_tasks(..., reduce=...)`` runs the
    same sweep but folds instead of storing: each worker folds its
    session results into per-task sketches and ships only those; the
@@ -83,7 +84,6 @@ __all__ = [
     "derive_seeds",
     "dispatch_chunksize",
     "group_tasks_by_shape",
-    "prewarm_worker_caches",
     "register_cohort_runner",
     "release_shm_segments",
     "resolve_jobs",
@@ -96,13 +96,11 @@ __all__ = [
 #: manifests while still amortizing the per-message IPC cost.
 _MAX_CHUNK = 32
 
-#: Cohort chunk bounds.  A cohort chunk is executed as one tensor pass,
-#: so it is worth inflating small chunk sizes up to ``_COHORT_MIN_CHUNK``
-#: (the batching win dwarfs the lost load-balancing granularity) and
-#: capping at ``_COHORT_MAX_CHUNK`` to bound per-worker tensor memory.
-#: The batched dirty-cell pass made the per-period cost mostly fixed
-#: numpy dispatch, so wide cohorts amortize it: 64 columns halve the
-#: period-loop overhead of 32 at ~40 MB of extra per-worker tensors.
+#: Cohort chunk bounds.  A cohort chunk is executed as one cohort call
+#: whose traces share one arena (one shared-memory segment under the
+#: shm transport), so small chunk sizes inflate to ``_COHORT_MIN_CHUNK``
+#: — fewer, larger segments per campaign — and ``_COHORT_MAX_CHUNK``
+#: bounds the arena a worker holds.
 _COHORT_MIN_CHUNK = 64
 _COHORT_MAX_CHUNK = 128
 
@@ -177,8 +175,8 @@ class SessionTask:
 # same kwargs plus ``seeds=[...]`` that returns one result per seed, in
 # order, each byte-identical to ``fn(**kwargs, seed=seed)``.  Dispatch
 # then executes a maximal run of same-shape tasks as one cohort call
-# (e.g. the cross-session tensor pass of :mod:`repro.ran.tensor`)
-# instead of task by task.  Registration happens at module import, so
+# (e.g. :func:`repro.xcal.dataset.run_session_cohort`) instead of task
+# by task.  Registration happens at module import, so
 # workers that unpickle the task's ``fn`` register it too.
 
 _COHORT_RUNNERS: dict[Callable[..., Any],
@@ -196,9 +194,9 @@ def register_cohort_runner(fn: Callable[..., Any],
     ``fn(**kwargs, seed=seed)`` call — dispatch treats the two paths as
     interchangeable.  ``accepts_arena=True`` declares that the runner
     takes an ``arena_factory`` keyword (see
-    :class:`repro.xcal.arena.CohortArena`); materializing dispatch
-    paths then pass one so the cohort flush writes a whole arena at
-    once instead of building traces column by column.
+    :class:`repro.xcal.arena.CohortArena`); the shm transport then
+    passes one so the cohort's traces land in one shared-memory
+    segment.
     """
     _COHORT_RUNNERS[fn] = (cohort_fn, accepts_arena)
 
@@ -242,30 +240,20 @@ def _cohortable(tasks: Sequence[SessionTask]) -> bool:
             and all(_same_shape(tasks[0], task) for task in tasks[1:]))
 
 
-def _local_arena_factory(n_cols: int, n_slots: int, mu) -> Any:
-    """Default arena factory for materializing consumers: a private
-    heap-backed :class:`~repro.xcal.arena.CohortArena`."""
-    from repro.xcal.arena import CohortArena
-
-    return CohortArena.allocate(n_cols, n_slots, mu)
-
-
 def _chunk_values(chunk: list[tuple[int, SessionTask, str | None]],
                   arena_factory: Callable[..., Any] | None = None,
                   ) -> Iterable[tuple[int, SessionTask, str | None, Any]]:
     """Yield ``(index, task, key, value)`` for one dispatch chunk.
 
     A chunk of same-shape tasks with a registered cohort runner executes
-    as one cohort call; values stream out lazily (the tensor pass
-    flushes one column trace per ``next()``), so a consumer that folds
-    or writes each value before advancing holds at most one result.
-    Everything else executes task by task.
+    as one cohort call; values stream out lazily (one trace per
+    ``next()``), so a consumer that folds or writes each value before
+    advancing holds at most one result.  Everything else executes task
+    by task.
 
     ``arena_factory`` is forwarded to cohort runners registered with
-    ``accepts_arena=True``: the cohort then flushes into one backing
-    arena and yields zero-copy row views.  Streaming consumers (the
-    reducing path) pass ``None`` to keep the one-live-trace memory
-    bound.
+    ``accepts_arena=True``: the cohort's traces then land in one arena
+    and come back as its row views.
     """
     tasks = [task for _, task, _ in chunk]
     if not _cohortable(tasks):
@@ -297,7 +285,7 @@ def _grouped_chunks(entries: Iterable[tuple[int, SessionTask, str | None]],
 
     Runs with a registered cohort runner become dedicated chunks sized
     ``clamp(chunksize, _COHORT_MIN_CHUNK, _COHORT_MAX_CHUNK)`` so one
-    worker executes a whole cohort slice as a single tensor pass;
+    worker executes a whole cohort slice as one cohort call;
     everything else batches at the plain chunk size.  Chunk contents
     (though not their parallel completion order) depend only on the
     entry sequence, and every chunk preserves entry order, so ordered
@@ -351,8 +339,7 @@ def _grouped_chunks(entries: Iterable[tuple[int, SessionTask, str | None]],
 def _execute_chunk_plain(chunk: list[tuple[int, SessionTask, str | None]]
                          ) -> list[tuple[int, Any]]:
     """Worker body for the pipe transport: ``(index, value)`` pairs."""
-    return [(index, value) for index, _, _, value
-            in _chunk_values(chunk, arena_factory=_local_arena_factory)]
+    return [(index, value) for index, _, _, value in _chunk_values(chunk)]
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -402,37 +389,12 @@ _WORKER_STORE: Any = None
 _WORKER_WRITER: ThreadPoolExecutor | None = None
 
 
-def prewarm_worker_caches() -> None:
-    """Pre-build the TBS lookup matrices campaign sessions need.
-
-    Every session starts by building the lookup matrix for its carrier's
-    full grant; warming them in the pool initializer moves that cost out
-    of the first task of every worker.  ``min_grant_fraction=0.88``
-    also covers the background-load-trimmed grant sizes the cohort
-    tensor path resolves up front (background mean + 2 sigma under the
-    default :class:`~repro.ran.simulator.SimParams` trims ~9.5% of the
-    full grant), so tensor cold runs pay no first-touch TBS builds in
-    the timed region.
-    """
-    from repro.nr.tdd import SlotType
-    from repro.operators.profiles import ALL_PROFILES
-    from repro.ran.simulator import prewarm_tbs_matrices
-
-    for profile in ALL_PROFILES.values():
-        prewarm_tbs_matrices(profile.primary_cell, SlotType.DL,
-                             min_grant_fraction=0.88)
-        prewarm_tbs_matrices(profile.primary_cell, SlotType.UL,
-                             max_layers=profile.ul_max_layers,
-                             min_grant_fraction=0.88)
-
-
 def _pool_initializer(store_config: tuple[str, int | None] | None) -> None:
     global _WORKER_STORE
     if store_config is not None:
         from repro.store import TraceStore
 
         _WORKER_STORE = TraceStore(store_config[0], max_bytes=store_config[1])
-    prewarm_worker_caches()
 
 
 def _writer_pool() -> ThreadPoolExecutor:
@@ -527,7 +489,7 @@ def _execute_chunk_reduced(chunk: list[tuple[int, SessionTask, str | None]],
 # ---------------------------------------------------------------------- #
 # The pipe transport pays pickle + copy for every trace crossing a
 # process boundary.  The shm transport does not: the worker's cohort
-# pass flushes into a CohortArena allocated inside a POSIX
+# call packs its traces into a CohortArena allocated inside a POSIX
 # shared-memory segment, only ``(segment name, layout, row index,
 # metadata)`` crosses the pipe, and the parent re-attaches the segment
 # and hands out zero-copy row views.  With a store, workers also write
@@ -632,7 +594,7 @@ def _execute_chunk_shm(chunk: list[tuple[int, SessionTask, str | None]],
                        prefix: str) -> tuple[list, list, list]:
     """Worker body for the shm transport.
 
-    Cohort runs flush straight into a shared-memory arena via the
+    Cohort runs pack their traces into a shared-memory arena via the
     ``arena_factory`` hook; per-task traces outside a cohort are packed
     (one strided copy per column) into extra arenas grouped by shape.
     Keyed entries are written to the worker's store, if it has one
@@ -819,10 +781,9 @@ class CampaignExecutor:
 
     The pool is created lazily on first parallel dispatch, with an
     initializer that opens each worker's store handle once (so workers
-    write their results into the store) and pre-warms the TBS
-    lookup-matrix cache.  ``stats()`` reports what the pool actually
-    did — dispatches, tasks executed, and how many results the workers
-    wrote into the store (``tasks_routed``).
+    write their results into the store).  ``stats()`` reports what the
+    pool actually did — dispatches, tasks executed, and how many results
+    the workers wrote into the store (``tasks_routed``).
     """
 
     def __init__(self, jobs: int | str | None = "auto", store: Any = None) -> None:
@@ -1052,7 +1013,8 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
     manifest = list(tasks)
     n_tasks = len(manifest)
     workers = executor.workers if executor is not None else resolve_jobs(jobs)
-    keys = ([store.task_key(task) for task in manifest] if store is not None
+    memo: dict = {}  # shared kwargs of same-shape tasks are encoded once
+    keys = ([store.task_key(task, memo) for task in manifest] if store is not None
             else [None] * n_tasks)
     stats = reduce.stats if isinstance(getattr(reduce, "stats", None), dict) else None
 
@@ -1126,9 +1088,8 @@ def run_tasks(tasks: Iterable[SessionTask] | Sequence[SessionTask],
                 raise RuntimeError(f"miss stream has an extra task {got}")
 
     if mode == "serial":
-        arena_factory = None if reduce is not None else _local_arena_factory
         sweep((index, value) for chunk in chunks
-              for index, _, _, value in _chunk_values(chunk, arena_factory))
+              for index, _, _, value in _chunk_values(chunk))
     else:
         def body(pool: ProcessPoolExecutor) -> None:
             futures: list[tuple[Any, int, str | None]] = []

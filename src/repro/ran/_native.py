@@ -1,20 +1,14 @@
-"""Native slot kernel: the single-session period loop and the cohort
-retransmission pass.
+"""Native slot kernel: the single-session period loop.
 
-Both slot loops are dispatch-bound in Python and numpy: a CQI period
-is ~20 slots, and at that size per-call and per-ufunc overhead
-dominates the arithmetic by two orders of magnitude.  This module
-compiles ``_retx_kernel.c`` — a transliteration of the reference
-engine's period loop with byte-identical semantics — into a tiny shared
-library with the system C compiler and loads it through :mod:`ctypes`.
-The library has two entry points:
-
-- ``repro_run_periods`` (:func:`load_period_loop`, state in
-  :class:`SessionLoop`) runs every CQI period of one session;
-  :mod:`repro.ran.simulator` drives it.
-- ``repro_retx_period`` (:func:`load_kernel`) advances the dirty
-  columns of one period of the cohort tensor engine
-  (:mod:`repro.ran.tensor`).
+The slot loop is dispatch-bound in Python and numpy: a CQI period is
+~20 slots, and at that size per-call and per-ufunc overhead dominates
+the arithmetic by two orders of magnitude.  This module compiles
+``_retx_kernel.c`` — a transliteration of the reference engine's period
+loop with byte-identical semantics — into a tiny shared library with
+the system C compiler and loads it through :mod:`ctypes`.  Its entry
+point ``repro_run_periods`` (:func:`load_kernel`, state in
+:class:`SessionLoop`) runs every CQI period of one session;
+:mod:`repro.ran.simulator` drives it.
 
 The period loop evaluates the logistic error probability itself
 (``repro_error_probability``), but its ``exp`` must be numpy's: libm
@@ -31,8 +25,7 @@ When the library is unavailable — no compiler, a failed build or load,
 an unresolved exp loop or a failed probe —
 :func:`repro.ran.config.resolve_engine` runs every session on the
 per-session reference engine instead (same bytes), and
-:func:`kernel_status` says why, so the bench report and the tensor
-engine's error message can name the cause.
+:func:`kernel_status` says why, so the bench report can name the cause.
 
 The build is cached under ``$REPRO_NATIVE_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-native``) keyed by a source digest, so each
@@ -65,28 +58,12 @@ _SOURCE = Path(__file__).with_name("_retx_kernel.c")
 #: drift from the Python engines in the last bit.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-_state: dict[str, Any] = {"loaded": False, "fn": None, "loop": None, "exp": None,
+_state: dict[str, Any] = {"loaded": False, "fn": None, "exp": None,
                           "evaluate": None, "error": None, "fallback_sessions": 0}
 
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
-
-#: ``repro_retx_period`` signature — positional groups mirror the C
-#: declaration: batched columns, lane state, per-call inputs, cohort
-#: constants, outputs.
-_ARGTYPES = [
-    _i64, _ptr, _i64, _i64,                       # nb, bidx, start, stop
-    _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64,     # cap, due, tbs, att, ph, pn, far
-    _ptr, _ptr, _ptr, _ptr,                       # failm, case, tbsf, tbss
-    _i64, _ptr, _ptr, _ptr, _i64,                 # n_slots, retx2, decoded2, perr2, stride
-    _ptr, _ptr, _ptr,                             # cum4, usable, special
-    _i64, ctypes.c_double, _i64,                  # rtt, scale, max_attempts
-    _ptr, _ptr,                                   # acks, nacks
-    _ptr, _ptr, _ptr,                             # seg col/lo/hi
-    _ptr, _ptr, _ptr, _ptr, _ptr,                 # ev col/slot/tbs/ok/retx
-    _ptr,                                         # counts
-]
 
 #: ``repro_error_probability(eff, cap, n, bias, slope, exp_loop,
 #: exp_data, out)``.
@@ -188,12 +165,18 @@ def _probe_error_probability(evaluate, exp: tuple[int, int]) -> None:
 
 
 def load_kernel():
-    """The compiled cohort retx kernel, or ``None`` when unavailable.
+    """The compiled period loop ``repro_run_periods``, or ``None`` when
+    unavailable.
 
-    First call compiles (or reuses the cached build) the whole library,
-    both entry points, resolves numpy's exp loop for the period loop
-    and probes it; it memoizes the outcome — including failures, so a
-    broken toolchain costs one attempt per process, not one per period.
+    First call compiles (or reuses the cached build) the library,
+    resolves numpy's exp loop for the period loop and probes it; it
+    memoizes the outcome — including failures, so a broken toolchain
+    costs one attempt per process, not one per session.
+
+    ``loop(ctypes.byref(state))`` runs periods ``[state.p, n_periods)``
+    and returns :data:`LOOP_DONE`, or :data:`NEED_ROOM` (widen the HARQ
+    lane, call again).  ``state.exp_loop`` / ``state.exp_data`` must
+    hold :func:`exp_loop`.
     """
     if _state["loaded"]:
         return _state["fn"]
@@ -205,9 +188,6 @@ def load_kernel():
         if not lib_path.exists():
             _build(_SOURCE, lib_path)
         lib = ctypes.CDLL(str(lib_path))
-        fn = lib.repro_retx_period
-        fn.restype = _i64
-        fn.argtypes = _ARGTYPES
         loop = lib.repro_run_periods
         loop.restype = _i64
         loop.argtypes = [ctypes.POINTER(SessionLoop)]
@@ -222,26 +202,10 @@ def load_kernel():
     except Exception as exc:  # noqa: BLE001 - any failure means no kernel
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None
-    _state["fn"] = fn
-    _state["loop"] = loop
+    _state["fn"] = loop
     _state["exp"] = exp
     _state["evaluate"] = evaluate
-    return fn
-
-
-def load_period_loop():
-    """The compiled single-session period loop, or ``None`` when
-    unavailable (same library and memoized outcome as
-    :func:`load_kernel`).
-
-    ``loop(ctypes.byref(state))`` runs periods ``[state.p, n_periods)``
-    and returns :data:`LOOP_DONE`, or :data:`NEED_ROOM` (widen the HARQ
-    lane, call again).  ``state.exp_loop`` / ``state.exp_data`` must
-    hold :func:`exp_loop`.
-    """
-    if load_kernel() is None:
-        return None
-    return _state["loop"]
+    return loop
 
 
 def exp_loop() -> tuple[int, int]:

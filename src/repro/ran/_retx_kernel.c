@@ -1,18 +1,14 @@
-/* Native slot kernel: the cohort retransmission pass and the
- * single-session period loop.
+/* Native slot kernel: the single-session period loop.
  *
- * Both entry points share one per-column walk (`walk_period`), which
- * gives the per-slot results of the reference engine's `_scalar_slot`
- * in simulator.py: the cursor visits each slot of the period, serving due
+ * The loop walks each period's slots with `walk_period`, which gives
+ * the per-slot results of the reference engine's `_scalar_slot` in
+ * simulator.py: the cursor visits each slot of the period, serving due
  * retransmissions at eligible slots (the shared retx_fits_slot rule),
  * transmitting new data at special slots that cannot carry an
  * oversized due block (the deferral rule), and committing maximal clean
  * sub-segments bounded by the due head and the first fresh NACK's
  * re-arm point.
  *
- * - `repro_retx_period` advances every dirty column of one CQI period
- *   of the cohort tensor engine; its caller turns the committed
- *   segments and served/deferred events into trace writes.
  * - `repro_run_periods` runs every CQI period of one session: link
  *   adaptation (rank EWMA and hysteresis, OLLA offset and update),
  *   the error probability, decode, the walk, and the trace writes, all
@@ -198,57 +194,6 @@ static void walk_period(
     *pn = count;
     *ns_io = ns;
     *ne_io = ne;
-}
-
-/* Cohort pass: one call advances every dirty column of one period.
- *
- * Outputs: per-column ack/nack counts over new transmissions, committed
- * sub-segments as (col, lo, hi) triples and served/deferred events as
- * (col, slot, tbs, ok, is_retx) rows, in chronological order within
- * each column; the caller's flush turns them into trace writes. */
-int64_t repro_retx_period(
-    /* dirty columns */
-    int64_t nb, const int64_t *bidx, int64_t start, int64_t stop,
-    /* lane state: (n_cols, cap) row-major, pending count per column */
-    int64_t cap, int64_t *due, int64_t *tbs, int64_t *att, double *ph,
-    int64_t *pn, int64_t far_sentinel,
-    /* per-call inputs: (nb, m) fresh-failure mask, per-column
-     * transmit case and grant sizes */
-    const uint8_t *failm, const int64_t *caseb,
-    const int64_t *tbsf, const int64_t *tbss,
-    /* cohort constants */
-    int64_t n_slots, const double *retx2, const uint8_t *decoded2,
-    const double *perr2, int64_t perr_stride,
-    const int64_t *cum4, const uint8_t *usable, const uint8_t *special,
-    int64_t rtt, double scale, int64_t max_attempts,
-    /* outputs */
-    int64_t *acks, int64_t *nacks,
-    int64_t *seg_col, int64_t *seg_lo, int64_t *seg_hi,
-    int64_t *ev_col, int64_t *ev_slot, int64_t *ev_tbs,
-    uint8_t *ev_ok, uint8_t *ev_retx,
-    int64_t *counts /* {n_segments, n_events} */)
-{
-    int64_t m = stop - start;
-    int64_t ns = 0, ne = 0;
-
-    for (int64_t k = 0; k < nb; k++) {
-        int64_t c = bidx[k];
-        walk_period(
-            c, start, stop,
-            due + c * cap, tbs + c * cap, att + c * cap, ph + c * cap,
-            pn + c, far_sentinel,
-            failm + k * m, cum4 + caseb[k] * (n_slots + 1) + start,
-            tbsf[k], tbss[k],
-            retx2 + c * n_slots, decoded2 + c * n_slots + start,
-            perr2 + c * perr_stride,
-            usable, special, rtt, scale, max_attempts,
-            acks + k, nacks + k,
-            seg_col, seg_lo, seg_hi, &ns,
-            ev_col, ev_slot, ev_tbs, ev_ok, ev_retx, &ne);
-    }
-    counts[0] = ns;
-    counts[1] = ne;
-    return 0;
 }
 
 /* A numpy ufunc inner loop (`PyUFuncGenericFunction`): args, dimensions

@@ -6,10 +6,10 @@ maximum modulation order — together with the derived 3GPP objects (N_RB,
 MCS/CQI tables, CQI→MCS mapper) the simulator needs.
 
 The module also holds the slot-engine policy: :func:`resolve_engine`
-picks the engine a run uses — the native period loop, the cohort
-tensor pass, or the reference engine — from its cohort size, whether
-the native kernel loads, and the one engine switch, the
-``REPRO_ENGINE`` environment variable (:data:`ENGINE_ENV`).
+picks the engine a session runs — the native period loop or the
+reference engine — from whether the native kernel loads and the one
+engine switch, the ``REPRO_ENGINE`` environment variable
+(:data:`ENGINE_ENV`).
 """
 
 from __future__ import annotations
@@ -28,21 +28,15 @@ from repro.ran import _native
 
 #: Valid :data:`ENGINE_ENV` values: the Python per-session slot engine,
 #: the reference oracle.  Unset, the engine policy of
-#: :func:`resolve_engine` applies (the compiled native period loop per
-#: session, the cohort tensor pass of :mod:`repro.ran.tensor` for
-#: same-shape cohorts, both falling back to the reference engine
-#: without the native kernel).  Every engine produces byte-identical
-#: traces, so the choice is purely performance.
+#: :func:`resolve_engine` applies (the compiled native period loop,
+#: falling back to the reference engine without the native kernel).
+#: Every engine produces byte-identical traces, so the choice is purely
+#: performance.
 ENGINES = ("reference",)
 
-#: Smallest cohort for which the engine policy selects the cross-session
-#: tensor pass.  Below this the per-column bookkeeping of the tensor
-#: engine costs more than the batching saves and ``"native"`` wins.
-TENSOR_MIN_COHORT = 2
-
 #: The one engine switch.  When set (to a value in :data:`ENGINES`) it
-#: pins every session, inside a cohort or not, to that per-session
-#: engine — inherited by worker processes, never part of a task's store
+#: pins every session, inside a cohort or not, to that engine —
+#: inherited by worker processes, never part of a task's store
 #: fingerprint (every engine produces the same bytes).  Used by the
 #: benchmarks to pin their baselines, by the byte-identity checks to run
 #: the reference oracle, and handy for A/B timing in the field.
@@ -66,27 +60,24 @@ def pinned_engine() -> str | None:
     return pinned
 
 
-def resolve_engine(cohort_size: int = 1) -> str:
-    """The physical slot engine for a run of ``cohort_size`` sessions.
+def resolve_engine() -> str:
+    """The physical slot engine of a session.
 
-    Decision table (all cells byte-identical — this is a pure
+    Decision table (both rows byte-identical — this is a pure
     performance policy; see ``docs/architecture.md``):
 
-    =================  ==================  ===============================
-    ``REPRO_ENGINE``   cohort_size below   cohort_size >= TENSOR_MIN_COHORT
-                       TENSOR_MIN_COHORT
-    =================  ==================  ===============================
-    unset              ``native``          ``tensor``
-    ``reference``      ``reference``       ``reference`` (per session)
-    =================  ==================  ===============================
+    =================  ===================================================
+    ``REPRO_ENGINE``   engine
+    =================  ===================================================
+    unset              ``native`` (``reference`` without the native kernel)
+    ``reference``      ``reference``
+    =================  ===================================================
 
-    ``native`` is the compiled single-session period loop and ``tensor``
-    the cross-session cohort pass; both need the native kernel
-    (:func:`repro.ran._native.load_kernel`).  On a host where it is
-    unavailable every unset cell runs ``reference`` instead.  So an
-    unpinned run loads the kernel on its first session, which compiles
-    it once per machine (cached by source digest); a pinned run never
-    touches it.
+    ``native`` is the compiled period loop
+    (:func:`repro.ran._native.load_kernel`).  An unpinned run loads the
+    kernel on its first session, which compiles it once per machine
+    (cached by source digest); a pinned run never touches it.  Cohorts
+    run the same engine, one session at a time.
 
     Raises :class:`ValueError` when :data:`ENGINE_ENV` holds a value
     outside :data:`ENGINES` (see :func:`pinned_engine`).
@@ -94,9 +85,7 @@ def resolve_engine(cohort_size: int = 1) -> str:
     pinned = pinned_engine()
     if pinned:
         return pinned
-    if _native.load_kernel() is None:
-        return "reference"
-    return "tensor" if cohort_size >= TENSOR_MIN_COHORT else "native"
+    return "reference" if _native.load_kernel() is None else "native"
 
 
 @dataclass(frozen=True)

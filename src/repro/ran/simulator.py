@@ -14,23 +14,20 @@ Entry points:
 All functions return :class:`~repro.xcal.records.SlotTrace` objects, the
 XCAL-equivalent artifact the analysis layer consumes.
 
-Three slot engines produce byte-identical traces:
+Two slot engines produce byte-identical traces:
 
 - ``"native"`` — the compiled period loop (``repro_run_periods`` in
   ``_retx_kernel.c``, driven by :func:`_native_periods`): every CQI
   period of one session in C, link adaptation, the error probability
   (through numpy's own float64 ``exp`` inner loop), decode, HARQ and
   the trace writes included.
-- ``"tensor"`` — the cross-session cohort pass in
-  :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
-  run as one ``(sessions x slots)`` tensor, with retransmission windows
-  walked per column by the kernel's shared C lane walk.
 - ``"reference"`` — the per-slot scalar loop (:func:`_scalar_slot`),
   the oracle for the equivalence test matrix and the path of every
   session on a host without the native kernel.
 
-A lone session runs native and a same-shape cohort runs on the tensor
-pass; without the native kernel both run the reference loop, and
+Every session runs native, one at a time, cohorts included
+(:mod:`repro.ran.tensor` loops over this module's entry points);
+without the native kernel every session runs the reference loop, and
 ``REPRO_ENGINE=reference`` pins it on any host; see
 :func:`repro.ran.config.resolve_engine`.
 All slot-clock randomness is pre-drawn before the period loop, so
@@ -134,9 +131,8 @@ class SimParams:
 # ---------------------------------------------------------------------- #
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
-# Every engine — the scalar reference oracle and the native kernel's
-# lane walk shared by the native period loop and the cohort tensor
-# engine (which transliterates them in C) — answers the same two
+# Both engines — the scalar reference oracle and the native period
+# loop's lane walk (which transliterates them in C) — answer the same two
 # questions per pending HARQ block: *can this slot serve it* and *with
 # what error probability*.  Both rules live here, next to the oracle
 # that defines them.
@@ -227,10 +223,8 @@ _RB_QUANTUM = 4
 
 #: Hard ceiling on the per-period background-traffic trim: grants never
 #: drop below ``(1 - BACKGROUND_TRIM_MAX) * grantable_rb``, whatever the
-#: background mean/sigma.  ``prewarm_tbs_matrices`` with
-#: ``min_grant_fraction = 1 - BACKGROUND_TRIM_MAX`` therefore covers
-#: every grant size any engine (per-session or cohort tensor) can
-#: resolve.
+#: background mean/sigma, so a session resolves TBS matrices for a
+#: bounded set of grant sizes.
 BACKGROUND_TRIM_MAX = 0.35
 
 
@@ -252,10 +246,6 @@ class _TbsCache:
             self._tables = {"primary": cell.mcs_table, "fallback": cell.mcs_table}
         self._cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def quantize(self, n_prb: int) -> int:
-        """Snap a grant size to the cache quantum (at least one quantum)."""
-        return max(_RB_QUANTUM, _RB_QUANTUM * round(n_prb / _RB_QUANTUM))
-
     def get(self, which: str, n_prb: int) -> tuple[np.ndarray, np.ndarray]:
         """(full-slot, special-slot) TBS matrices for a grant size."""
         key = (which, n_prb)
@@ -272,56 +262,13 @@ class _TbsCache:
         return self._cache[key]
 
 
-def prewarm_tbs_matrices(cell: CellConfig, direction: SlotType = SlotType.DL,
-                         max_layers: int | None = None,
-                         min_grant_fraction: float = 1.0) -> None:
-    """Populate the process-wide TBS matrix cache for a carrier.
-
-    Builds the full-grant (and special-slot) matrices for the primary
-    and fallback MCS tables — the matrices every full-buffer session on
-    this carrier resolves first.  Campaign worker pools call this from
-    their initializer so the first session of each worker starts warm.
-
-    ``min_grant_fraction`` extends the warm set down the grant-size axis:
-    every quantized grant in ``[min_grant_fraction * grantable_rb,
-    grantable_rb]`` is built too.  The cohort tensor engine resolves the
-    TBS matrices of *all* of a cohort's background-trimmed grant sizes
-    up front (one stacked gather per period instead of per-period dict
-    lookups), so a cold tensor run would otherwise pay every first-touch
-    build inside the timed region; the default SimParams background
-    model trims at most ~10% of the grant in practice, which
-    ``prewarm_worker_caches`` covers with ``min_grant_fraction=0.88``.
-    Deeper trims still build lazily; ``min_grant_fraction = 1 -
-    BACKGROUND_TRIM_MAX`` is the guaranteed-complete (but larger) warm
-    set.
-    """
-    if not 0.0 < min_grant_fraction <= 1.0:
-        raise ValueError("min_grant_fraction must lie in (0, 1]")
-    if direction is SlotType.UL and cell.max_modulation is not Modulation.QAM64:
-        cell = replace(cell, max_modulation=Modulation.QAM64)
-    layers = cell.max_layers if max_layers is None else min(max_layers, cell.max_layers)
-    cache = _TbsCache(cell, layers, direction)
-    full_grant = cache.quantize(cell.grantable_rb)
-    low_grant = cache.quantize(int(round(cell.grantable_rb * min_grant_fraction)))
-    for grant in range(min(low_grant, full_grant), full_grant + 1, _RB_QUANTUM):
-        cache.get("primary", grant)
-        cache.get("fallback", grant)
-    # Grant sizes are min(quantized, grantable_rb): when the quantum
-    # rounds the full grant *up*, the capped (non-quantum) full grant is
-    # the size sessions actually resolve — warm it too.
-    if full_grant > cell.grantable_rb:
-        cache.get("primary", cell.grantable_rb)
-        cache.get("fallback", cell.grantable_rb)
-
-
 # ---------------------------------------------------------------------- #
 # Dense link-adaptation lookup tables
 # ---------------------------------------------------------------------- #
 # CQI->MCS through the vendor mapper is a pure function of
 # (fallback?, cqi, olla offset); the offset is bounded by the Olla
 # clamp, so the whole map densifies into one integer LUT per carrier
-# family.  Cached process-wide: every session and cohort on a carrier
-# reuses it.
+# family.  Cached process-wide: every session on a carrier reuses it.
 _MCS_LUT_CACHE: dict = {}
 
 #: Integer OLLA offset bounds (``Olla`` is always constructed with
@@ -366,21 +313,18 @@ def _la_luts(cell: CellConfig):
 
 
 def _tbs_luts(tbs_cache: "_TbsCache", grants: np.ndarray, n_max: int,
-              max_layers: int, used: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+              max_layers: int, used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tbs_full, tbs_special) LUTs of shape ``(2, grants, n_max,
-    max_layers)``: the TBS lookup matrices of every grant size in
-    ``grants``, padded on the family axis like :func:`_la_luts`.
-
-    With ``used`` (a ``(2, grants)`` bool mask) only the marked
-    (family, grant) pairs are resolved; the rest stay zero and must not
+    max_layers)``: the TBS lookup matrices of the (family, grant) pairs
+    ``used`` (a ``(2, grants)`` bool mask) marks, padded on the family
+    axis like :func:`_la_luts`.  Unmarked pairs stay zero and must not
     be read.
     """
     tb_full = np.zeros((2, grants.size, n_max, max_layers), dtype=np.int64)
     tb_special = np.zeros_like(tb_full)
     for fbi, family in enumerate(("primary", "fallback")):
         for g, grant in enumerate(grants.tolist()):
-            if used is not None and not used[fbi, g]:
+            if not used[fbi, g]:
                 continue
             full, special = tbs_cache.get(family, int(grant))
             tb_full[fbi, g, :full.shape[0]] = full
@@ -648,7 +592,7 @@ def _simulate_direction(
     period_prb = np.minimum(prb_quant, n_prb)
 
     if resolve_engine() == "native":
-        _native_periods(_native.load_period_loop(), trace, cell, params,
+        _native_periods(_native.load_kernel(), trace, cell, params,
                         max_layers, usable, special_mask, uniforms,
                         retx_uniforms, measured_all, cqi_all, period_prb,
                         eff_cap, tbs_cache)

@@ -19,7 +19,8 @@ recompute-and-heal, never an error.
 :meth:`TraceStore.read_ahead` reads a run's upcoming hits on two reader
 threads (file read, SHA-256 and decode release the GIL), a bounded
 window ahead of :meth:`TraceStore.get`, which takes each prefetched
-result in the calling thread and keeps every count there.
+result in the calling thread and keeps every count there; hits too
+small to gain from the threads are read by ``get`` itself.
 
 The sidecar's mtime doubles as the LRU clock: hits touch it, and
 :meth:`TraceStore.evict` removes oldest-accessed entries until the
@@ -60,6 +61,14 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 READ_AHEAD_DEPTH = 4
 READ_AHEAD_BYTES = 32 * 2**20
 READ_AHEAD_THREADS = 2
+
+#: Entries smaller than this are read by :meth:`TraceStore.get` in the
+#: calling thread, not ahead: handing a hit to a reader thread and back
+#: costs about 0.15 ms, more than the threads overlap on a payload this
+#: small (a 3 s, 0.35 MB session read 8.5 ms per 12 hits ahead against
+#: 6.7 ms serially on a 2-core host; 5 s, 0.59 MB sessions broke even
+#: and 10 s, 1.2 MB sessions gained 25-30%).
+READ_AHEAD_MIN_BYTES = 2**19
 
 
 def _check_max_bytes(max_bytes: int) -> None:
@@ -155,10 +164,11 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # Keys and paths
     # ------------------------------------------------------------------ #
-    def task_key(self, task: Any) -> str | None:
-        """Fingerprint of a session task, or ``None`` if uncacheable."""
+    def task_key(self, task: Any, memo: dict | None = None) -> str | None:
+        """Fingerprint of a session task, or ``None`` if uncacheable
+        (``memo``: see :func:`~repro.store.keys.task_fingerprint`)."""
         try:
-            return task_fingerprint(task, salt=self.salt)
+            return task_fingerprint(task, salt=self.salt, memo=memo)
         except UnfingerprintableTask:
             return None
 
@@ -199,7 +209,7 @@ class TraceStore:
         except Exception:
             raise _Corrupt(key) from None
 
-    def _load(self, key: str, fetched: Future | None = None) -> Any:
+    def _load(self, key: str, fetched: Future | _Inline | None = None) -> Any:
         """Verified decode of ``key`` (or the read-ahead's ``fetched``
         result for it); raises ``KeyError`` without touching the
         hit/miss counters (:meth:`get` counts on top).
@@ -241,7 +251,8 @@ class TraceStore:
         """Read the entries ``keys`` ahead of the :meth:`get` calls that
         will ask for them, in that order, on :data:`READ_AHEAD_THREADS`
         threads within a :data:`READ_AHEAD_DEPTH` / :data:`READ_AHEAD_BYTES`
-        window.  A ``get`` out of that order reads synchronously.  The
+        window; entries below :data:`READ_AHEAD_MIN_BYTES` are left to
+        ``get``.  A ``get`` out of that order reads synchronously.  The
         threads are joined on exit, whether the body returns or raises.
         """
         ahead = _ReadAhead(self, keys)
@@ -419,17 +430,29 @@ class _Corrupt(Exception):
     """An entry failed verification or decoding: quarantine it."""
 
 
+class _Inline:
+    """A read :class:`_ReadAhead` leaves to the calling thread:
+    ``result()`` runs it there."""
+
+    def __init__(self, fn, *args) -> None:
+        self.fn, self.args = fn, args
+
+    def result(self) -> Any:
+        return self.fn(*self.args)
+
+
 class _ReadAhead:
     """The window of :meth:`TraceStore.read_ahead`: upcoming keys, each
     submitted to the reader threads with its sidecar once the window has
-    room for its ``size``."""
+    room for its ``size`` (or, below :data:`READ_AHEAD_MIN_BYTES`, left
+    to the calling thread with its sidecar already read)."""
 
     def __init__(self, store: TraceStore, keys: Iterable[str]) -> None:
         self.store = store
         self.upcoming = deque(keys)
         #: ``(key, future or None, size)`` in :meth:`TraceStore.get` order;
         #: ``None`` leaves the read, and its failure, to ``get`` itself.
-        self.window: deque[tuple[str, Future | None, int]] = deque()
+        self.window: deque[tuple[str, Future | _Inline | None, int]] = deque()
         self.window_bytes = 0
         self.pool = ThreadPoolExecutor(READ_AHEAD_THREADS,
                                        thread_name_prefix="repro-read-ahead")
@@ -446,12 +469,16 @@ class _ReadAhead:
             if self.window and self.window_bytes + size > READ_AHEAD_BYTES:
                 return
             self.upcoming.popleft()
-            future = (self.pool.submit(self.store._fetch, key, sidecar)
-                      if sidecar is not None else None)
+            if sidecar is None:
+                future = None
+            elif size < READ_AHEAD_MIN_BYTES:
+                future = _Inline(self.store._fetch, key, sidecar)
+            else:
+                future = self.pool.submit(self.store._fetch, key, sidecar)
             self.window.append((key, future, size))
             self.window_bytes += size
 
-    def take(self, key: str) -> Future | None:
+    def take(self, key: str) -> Future | _Inline | None:
         """The read of ``key`` if it heads the window, else ``None``."""
         if not self.window or self.window[0][0] != key:
             return None

@@ -20,9 +20,9 @@ Canonicalization rules:
 The resulting JSON depends only on values, never on ``PYTHONHASHSEED``,
 insertion order, or which process computes it, so keys are stable
 across workers, reruns and machines.  Execution strategy is likewise
-invisible: a session computed inside a cohort tensor pass reuses its
-per-session fingerprint, so cohort execution required no schema bump
-and shares store entries with per-session runs.  All engines emit
+invisible: a session run inside a cohort reuses its per-session
+fingerprint, so cohort execution needs no schema bump and shares store
+entries with per-session runs.  All engines emit
 identical bytes, and the one engine switch, ``REPRO_ENGINE``, is an
 environment variable: no task field (``SimParams`` included) names an
 engine, so no fingerprint can depend on one.
@@ -113,22 +113,36 @@ def canonical_json(value: Any) -> str:
                       allow_nan=False)
 
 
-def task_fingerprint(task: Any, *, salt: int = STORE_SCHEMA_VERSION) -> str:
+def task_fingerprint(task: Any, *, salt: int = STORE_SCHEMA_VERSION,
+                     memo: dict | None = None) -> str:
     """Hex SHA-256 fingerprint of a :class:`~repro.core.runner.SessionTask`.
 
     Covers ``(fn qualname, canonical kwargs, seed, salt)`` — and nothing
     else: the display ``label`` is presentation, not identity.
+
+    ``memo`` (a dict the caller keeps for one batch of tasks) reuses the
+    canonical kwargs of an earlier task whose kwargs hold the very same
+    objects, so a manifest of sessions that differ only in seed walks
+    its shared kwargs once.  Objects are matched by identity, so the
+    caller must keep the batch's tasks alive and unchanged while it
+    uses the memo.
     """
     fn = task.fn
     if getattr(fn, "__module__", None) is None or "<" in getattr(fn, "__qualname__", "<"):
         raise UnfingerprintableTask(f"{fn!r} is not a stable module-level callable")
-    payload = {
-        "salt": int(salt),
-        "fn": f"{fn.__module__}:{fn.__qualname__}",
-        "kwargs": _canonical(dict(task.kwargs)),
-        "seed": None if task.seed is None else int(task.seed),
-    }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    kwargs = dict(task.kwargs)
+    if memo is None:
+        encoded_kwargs = canonical_json(kwargs)
+    else:
+        ident = tuple((name, id(value)) for name, value in kwargs.items())
+        encoded_kwargs = memo.get(ident)
+        if encoded_kwargs is None:
+            encoded_kwargs = memo[ident] = canonical_json(kwargs)
+    # The canonical JSON of {"fn", "kwargs", "salt", "seed"} with sorted
+    # keys, assembled around the (possibly memoized) kwargs encoding.
+    seed = "null" if task.seed is None else str(int(task.seed))
+    encoded = (f'{{"fn":{json.dumps(f"{fn.__module__}:{fn.__qualname__}")},'
+               f'"kwargs":{encoded_kwargs},"salt":{int(salt)},"seed":{seed}}}')
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 

@@ -1,10 +1,8 @@
 """Cohort trace arena: one contiguous buffer backing a whole cohort.
 
-The cohort tensor engine (:mod:`repro.ran.tensor`) produces one
+The cohort entry points (:mod:`repro.ran.tensor`) produce one
 :class:`~repro.xcal.records.SlotTrace` per session of a same-shape
-cohort.  Building those traces column by column — 18 fresh arrays per
-session plus a stack of per-column scatter writes — is the flush tax
-that dominated cohort wall time.  A :class:`CohortArena` removes it:
+cohort.  A :class:`CohortArena` gives the cohort one home for them:
 
 - Every trace column of every session lives in **one contiguous
   buffer**, laid out as an ``(n_cols, n_slots)`` 2-D block per column
@@ -12,9 +10,8 @@ that dominated cohort wall time.  A :class:`CohortArena` removes it:
   schema dtypes of :data:`~repro.xcal.records.COLUMN_DTYPES` (int8 to
   int32, bool, float64) so a row serializes byte-identically to a
   standalone trace.
-- The engine writes its per-period constants with **cohort-wide 2-D
-  masked writes** instead of per-column loops; per-session traces are
-  then just row views (:meth:`trace`) — no copies, no re-expansion.
+- Each finished trace is packed into its row (:meth:`pack_row`);
+  per-session traces are then just row views (:meth:`trace`).
 - The buffer can live in ``multiprocessing.shared_memory``: a worker
   fills the arena, ships only ``(segment name, layout)`` over the
   pipe, and the parent rebuilds zero-copy views with
@@ -190,9 +187,8 @@ class CohortArena:
                          **{name: col[c] for name, col in self.columns.items()})
 
     def pack_row(self, c: int, trace: SlotTrace) -> None:
-        """Copy an existing trace into row ``c`` (one strided copy per
-        column) — the shm transport's path for traces produced outside
-        a cohort pass."""
+        """Copy an existing trace into row ``c`` (one copy per
+        column)."""
         if len(trace) != self.n_slots:
             raise ValueError(
                 f"trace has {len(trace)} slots, arena rows hold {self.n_slots}")

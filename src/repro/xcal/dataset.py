@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.runner import (SessionTask, derive_seed,
                                register_cohort_runner, run_tasks)
-from repro.ran.config import resolve_engine
 from repro.ran.simulator import simulate_downlink, simulate_uplink
 from repro.ran.tensor import simulate_downlink_cohort, simulate_uplink_cohort
 from repro.xcal.io import write_csv, write_jsonl, write_npz
@@ -282,40 +281,54 @@ def run_session(profile, spec: CampaignSpec, direction: str, seed: int) -> SlotT
                              metadata=metadata)
 
 
+class _CohortChannels:
+    """A cohort's channel realizations, each drawn from its session's
+    generator only when the cohort loop reaches it, so one channel is
+    live at a time."""
+
+    def __init__(self, priors: list, rngs: list, duration_s: float, mu) -> None:
+        self._priors, self._rngs = priors, rngs
+        self._duration_s, self._mu = duration_s, mu
+
+    def __len__(self) -> int:
+        return len(self._priors)
+
+    def __iter__(self):
+        for prior, rng in zip(self._priors, self._rngs):
+            yield prior.realize(self._duration_s, mu=self._mu, rng=rng)
+
+
 def run_session_cohort(profile, spec: CampaignSpec, direction: str,
                        seeds: list[int], arena_factory=None):
     """Batched counterpart of :func:`run_session` for same-shape cohorts.
 
     Yields one trace per seed, in order, each byte-identical to
-    ``run_session(profile, spec, direction, seed)``.  When the engine
-    policy selects the cross-session tensor pass
-    (``resolve_engine(len(seeds)) == "tensor"``) the whole
-    cohort executes as one ``(sessions x slots)`` pass in
-    :mod:`repro.ran.tensor`; otherwise sessions run one at a time
-    through the per-session path.  Either way the result is a lazy
-    generator — a consumer that folds or stores each trace before
-    advancing holds at most one trace.
+    ``run_session(profile, spec, direction, seed)``: the sessions run
+    one at a time through :func:`~repro.ran.tensor.simulate_downlink_cohort`
+    or :func:`~repro.ran.tensor.simulate_uplink_cohort`, on whichever
+    engine :func:`~repro.ran.config.resolve_engine` picks.  The result
+    is a lazy generator, and each channel is realized only when its
+    session runs — a consumer that folds or stores each trace before
+    advancing holds at most one trace and one channel.
 
     Registered as the cohort runner for :func:`run_session`, so
     :func:`repro.core.runner.run_tasks` routes maximal same-shape
     manifest runs through here automatically.
 
     ``arena_factory`` (``(n_cols, n_slots, mu) -> CohortArena | None``)
-    is forwarded to the tensor engine so materializing consumers — the
-    runner's serial path and its pipe and shared-memory transports —
-    get the cohort-wide arena flush; the per-session fallback path
-    ignores it.
+    is forwarded to the cohort entry point, which packs every trace
+    into that arena: the shared-memory transport ships the arena's
+    segment name instead of the traces.
     """
     if direction not in ("DL", "UL"):
         raise ValueError(f"direction must be 'DL' or 'UL', got {direction!r}")
-    if resolve_engine(len(seeds)) != "tensor":
-        return (run_session(profile, spec, direction, seed) for seed in seeds)
     params = profile.sim_params()
     cell = profile.primary_cell
-    rngs, channels, metadatas = [], [], []
+    rngs, priors, metadatas = [], [], []
     for seed in seeds:
-        # Exactly run_session's draw order per seed: jitter, then the
-        # channel realization; the simulator consumes the rest.
+        # Exactly run_session's draw order per seed: jitter, then (in
+        # _CohortChannels) the channel realization; the simulator
+        # consumes the rest.
         rng = np.random.default_rng(seed)
         jitter = spec.session_sinr_jitter_db * float(rng.standard_normal())
         metadatas.append(TraceMetadata(
@@ -324,10 +337,10 @@ def run_session_cohort(profile, spec: CampaignSpec, direction: str,
             bandwidth_mhz=cell.bandwidth_mhz, scs_khz=cell.scs_khz,
             seed=seed,
         ))
-        prior = profile.ul_channel(jitter) if direction == "UL" \
-            else profile.dl_channel(jitter)
-        channels.append(prior.realize(spec.session_s, mu=cell.mu, rng=rng))
+        priors.append(profile.ul_channel(jitter) if direction == "UL"
+                      else profile.dl_channel(jitter))
         rngs.append(rng)
+    channels = _CohortChannels(priors, rngs, spec.session_s, cell.mu)
     if direction == "UL":
         return simulate_uplink_cohort(cell, channels, rngs, params=params,
                                       max_layers=profile.ul_max_layers,

@@ -443,117 +443,6 @@ class TestReduceWorkloadShape:
         assert operators == {"V_Sp", "O_Sp_100", "T_Ge", "V_Ge"}
 
 
-def _tensor_report(session_cold=150.0, session_warm=155.0,
-                   tensor_cold=525.0, tensor_warm=550.0,
-                   cohorts=8, quick=True) -> dict:
-    def cell(rate):
-        return {"sessions_per_s": rate, "wall_s": round(64.0 / rate, 3)}
-
-    return {
-        "bench": "tensor",
-        "schema": bench.BENCH_SCHEMA_VERSION,
-        "quick": quick,
-        "config": {"profiles": ["V_Sp", "O_Sp_100"], "n_sessions": 64,
-                   "cohort_size": 32, "cold_reps": 2, "seed": 2024},
-        "workloads": {
-            "session_cold": cell(session_cold),
-            "session_warm": cell(session_warm),
-            "tensor_cold": cell(tensor_cold),
-            "tensor_warm": cell(tensor_warm),
-        },
-        "cohort": {"cohorts": cohorts, "columns": cohorts * 32,
-                   "cells": 51200,
-                   "dirty_periods": 28000,
-                   "dirty_fraction": 0.5469,
-                   "native_kernel": bool(cohorts),
-                   "native_error": None if cohorts else
-                   "RuntimeError: no C compiler on PATH (set CC to override)",
-                   "tensor_slots_per_s": 1.4e6},
-        "phases": {"predraw_s": 0.05, "tensor_pass_s": 0.09,
-                   "batched_retx_s": 0.04, "flush_s": 0.13,
-                   "total_s": 0.45},
-        "speedup": {
-            "tensor_cold_vs_session_cold": round(tensor_cold / session_cold, 2),
-            "tensor_warm_vs_session_warm": round(tensor_warm / session_warm, 2),
-        },
-    }
-
-
-class TestTensorRegressionGate(_GateBehaviours):
-    workload, bad_threshold = "tensor", 1.0
-    missing_row = "session_cold"
-    missing_failure = "session_cold: reference workload missing from a report"
-    # Fails both the normalized gate and the intra-report floor.
-    slowdown_failures = ["tensor_cold", "tensor_cold_vs_session_cold"]
-
-    def baseline(self):
-        return _tensor_report()
-
-    def gated_slowdown(self, base):
-        return _tensor_report(tensor_cold=525.0 / 2.5, tensor_warm=220.0)
-
-    test_tensor_only_slowdown_fails = _GateBehaviours.gated_only_slowdown_fails
-    test_missing_reference_reports_cleanly = \
-        _GateBehaviours.missing_row_reports_cleanly
-
-    def test_speedup_below_floor_fails_intra_report(self):
-        # 3.0x < the full-mode 3.9x floor even with itself as baseline.
-        report = _tensor_report(tensor_cold=450.0, quick=False)
-        failures = bench.regression_failures(report, report)
-        assert any(f.startswith("tensor_cold_vs_session_cold:")
-                   for f in failures)
-
-    def test_quick_reports_get_floor_slack(self):
-        # The same 3.0x passes in quick mode (floor 2.85x), and 2.7x
-        # does not.
-        report = _tensor_report(tensor_cold=450.0, quick=True)
-        assert bench.regression_failures(report, report) == []
-        report = _tensor_report(tensor_cold=405.0, quick=True)
-        assert [f.split(":")[0] for f in bench.regression_failures(
-            report, report)] == ["tensor_cold_vs_session_cold"]
-
-    def test_no_cohorts_run_fails(self):
-        # A policy regression degrading every cohort to the per-session
-        # engine gates red even at a 1.0x-ish honest ratio, and a host
-        # without the retx kernel names the reason.
-        report = _tensor_report(cohorts=0)
-        failures = bench.regression_failures(report, report)
-        cohort = [f for f in failures if f.startswith("cohort:")]
-        assert len(cohort) == 1 and "no C compiler on PATH" in cohort[0]
-
-
-
-class TestTensorRender:
-    def test_render_lists_workloads_speedup_and_counters(self):
-        text = bench.render(_tensor_report())
-        assert "tensor_cold" in text and "session_cold" in text
-        assert "3.50x" in text  # 525 / 150 cold speedup
-        assert "cohorts=8 columns=256 dirty_periods=28000" in text
-
-    def test_render_shows_dirty_split_and_phases(self):
-        text = bench.render(_tensor_report())
-        assert "dirty=54.7% of 51200 cells" in text
-        assert "residual" not in text
-        assert "phases:" in text and "batched_retx=0.04s" in text
-
-
-class TestTensorWorkloadShape:
-    def test_manifest_is_maximal_dl_cohorts(self):
-        from repro.core.runner import group_tasks_by_shape
-
-        manifest = bench.tensor_tasks(quick=True, seed=2024)
-        groups = group_tasks_by_shape(manifest)
-        assert len(groups) == 2  # one cohort per operator, no UL split
-        assert all(len(g) == 32 for g in groups)
-        assert all(t.kwargs["direction"] == "DL" for t in manifest)
-
-    def test_manifest_is_deterministic(self):
-        a = bench.tensor_tasks(quick=True, seed=2024)
-        b = bench.tensor_tasks(quick=True, seed=2024)
-        assert [t.label for t in a] == [t.label for t in b]
-        assert [t.seed for t in a] == [t.seed for t in b]
-
-
 class TestEnvironment:
     def test_records_show_runtimes_simd_found_list(self, monkeypatch):
         import pprint
@@ -589,11 +478,11 @@ class TestReportIo:
         sum(range(1000))
         profiler.disable()
 
-        report_path = tmp_path / "BENCH_tensor.json"
+        report_path = tmp_path / "BENCH_slot_engine.json"
         pstats_path, table_path = bench.write_profile(profiler, report_path,
                                                       top=5)
-        assert pstats_path == tmp_path / "BENCH_tensor.pstats"
-        assert table_path == tmp_path / "BENCH_tensor.profile.txt"
+        assert pstats_path == tmp_path / "BENCH_slot_engine.pstats"
+        assert table_path == tmp_path / "BENCH_slot_engine.profile.txt"
         # The dump reloads as pstats and the table lists hot functions
         # by cumulative time.
         pstats.Stats(str(pstats_path))

@@ -22,12 +22,11 @@ def _campaign_report():
     }
 
 
-def _tensor_report():
+def _reduce_report():
     return {
-        "bench": "tensor", "schema": 1, "quick": True,
-        "workloads": {"tensor_cold": {"sessions_per_s": 260.0, "wall_s": 0.5}},
-        "speedup": {"tensor_cold_vs_session_cold": 3.1},
-        "phases": {"total_s": 2.0, "flush_s": 0.3},
+        "bench": "reduce", "schema": 1, "quick": True,
+        "workloads": {"reduce_cold": {"sessions_per_s": 260.0, "wall_s": 0.5}},
+        "speedup": {"reduce_cold_vs_exact_cold": 3.1},
     }
 
 
@@ -47,19 +46,19 @@ def _slot_report():
 class TestHistoryReport:
     def test_folds_all_reports(self, tmp_path):
         _write(tmp_path / "BENCH_campaign.json", _campaign_report())
-        _write(tmp_path / "BENCH_tensor.json", _tensor_report())
+        _write(tmp_path / "BENCH_reduce.json", _reduce_report())
         _write(tmp_path / "BENCH_slot_engine.json", _slot_report())
         report = bench.history_report(tmp_path)
         assert report["bench"] == "history"
         kinds = {e["kind"]: e for e in report["reports"]}
-        assert set(kinds) == {"campaign", "tensor", "slot_engine"}
+        assert set(kinds) == {"campaign", "reduce", "slot_engine"}
         assert kinds["campaign"]["throughput"]["shm_cold"] == 50.0
         # Slot rows are nested per engine; each engine's warm rate folds.
         assert kinds["slot_engine"]["throughput"] == {
             "single_ue/policy": 800_000.0,
             "single_ue/reference": 600_000.0}
         assert kinds["campaign"]["speedup"]["shm_cold_vs_jobs1_cold"] == 1.25
-        assert kinds["tensor"]["flush_share"] == 0.15
+        assert kinds["reduce"]["speedup"]["reduce_cold_vs_exact_cold"] == 3.1
         assert report["skipped"] == []
 
     def test_corrupt_file_is_skipped_not_fatal(self, tmp_path):
@@ -78,20 +77,19 @@ class TestHistoryReport:
     def test_committed_reports_fold(self):
         # The repo's own BENCH artifacts must always be foldable.
         report = bench.history_report(".")
-        assert len(report["reports"]) >= 4
+        assert len(report["reports"]) >= 3
         assert report["skipped"] == []
 
 
 class TestRenderHistory:
     def test_renders_table(self, tmp_path):
         _write(tmp_path / "BENCH_campaign.json", _campaign_report())
-        _write(tmp_path / "BENCH_tensor.json", _tensor_report())
+        _write(tmp_path / "BENCH_reduce.json", _reduce_report())
         text = bench.render_history(bench.history_report(tmp_path))
         assert "BENCH_campaign.json [campaign, full]" in text
-        assert "BENCH_tensor.json [tensor, quick]" in text
+        assert "BENCH_reduce.json [reduce, quick]" in text
         assert "shm_cold_vs_jobs1_cold" in text
-        assert "flush share of tensor wall" in text
-        assert "15.0%" in text
+        assert "reduce_cold_vs_exact_cold" in text and "3.10x" in text
 
     def test_renders_empty(self, tmp_path):
         text = bench.render_history(bench.history_report(tmp_path))

@@ -1,11 +1,11 @@
 """Cohort grouping and campaign-level byte-identity of cohort execution.
 
 ``group_tasks_by_shape`` partitions a manifest into maximal consecutive
-same-shape runs; ``run_tasks`` executes such runs as single tensor
-passes when a cohort runner is registered.  The contract under test:
+same-shape runs; ``run_tasks`` executes such runs as single cohort
+calls when a cohort runner is registered.  The contract under test:
 campaign output is *byte-identical* — same npz bytes per session — no
 matter the cohort chunk size (1/2/7/64), the jobs count (1/2/auto), or
-whether the tensor engine runs at all.
+whether cohorts run at all.
 """
 
 from __future__ import annotations
@@ -201,29 +201,3 @@ class TestCohortDispatch:
                 run_tasks(manifest, jobs=1)
         finally:
             runner_mod._COHORT_RUNNERS.pop(three, None)
-
-
-def test_prewarm_covers_tensor_shapes():
-    """After prewarm, a cohort tensor run adds no TBS-matrix misses.
-
-    ``min_grant_fraction = 1 - BACKGROUND_TRIM_MAX`` is the guaranteed
-    floor: the background trim is clipped there, so every grant size
-    the tensor pass can stack-resolve is prewarmed.
-    """
-    from repro.nr.tbs import clear_tbs_matrix_cache, tbs_matrix_cache_stats
-    from repro.ran.simulator import BACKGROUND_TRIM_MAX, prewarm_tbs_matrices
-    from repro.xcal.dataset import run_session_cohort
-
-    profile = EU_PROFILES["V_Sp"]
-    spec = CampaignSpec(minutes_per_operator=0.3, session_s=3.0)
-    clear_tbs_matrix_cache()
-    prewarm_tbs_matrices(profile.primary_cell,
-                         max_layers=profile.primary_cell.max_layers,
-                         min_grant_fraction=1.0 - BACKGROUND_TRIM_MAX)
-    warm = tbs_matrix_cache_stats()
-    for _ in run_session_cohort(profile, spec, "DL",
-                                [session_seed_ for session_seed_ in range(4)]):
-        pass
-    after = tbs_matrix_cache_stats()
-    assert after["misses"] == warm["misses"]
-    assert after["hits"] > warm["hits"]

@@ -223,23 +223,23 @@ class TestCampaignExecutor:
         assert "workers=3" in text and "routed=" in text
 
 
-def test_prewarm_worker_caches_warms_every_full_grant():
-    """The pool initializer's prewarm raises nothing and leaves every
-    profile's full-grant TBS matrices, DL and UL, in the cache."""
-    from repro.core.runner import prewarm_worker_caches
+def test_sessions_build_tbs_matrices_on_first_use():
+    """A session builds the TBS lookup matrices it needs on first use
+    and a second session of the same carrier reuses them: the
+    process-wide memo a pool worker relies on, as a serial run does."""
     from repro.nr.tbs import clear_tbs_matrix_cache, tbs_matrix_cache_stats
-    from repro.nr.tdd import SlotType
-    from repro.operators.profiles import ALL_PROFILES
-    from repro.ran.simulator import prewarm_tbs_matrices
+    from repro.operators.profiles import EU_PROFILES
+    from repro.xcal.dataset import CampaignSpec, campaign_manifest
 
+    spec = CampaignSpec(minutes_per_operator=0.05, session_s=1.0, seed=3,
+                        ul_fraction=0.0)
+    first, second = campaign_manifest({"V_Sp": EU_PROFILES["V_Sp"]}, spec)[:2]
+    assert first.kwargs == second.kwargs
     clear_tbs_matrix_cache()
-    prewarm_worker_caches()
+    first.execute()
+    cold = tbs_matrix_cache_stats()
+    assert cold["misses"] > 0 and cold["entries"] > 0
+    second.execute()
     warm = tbs_matrix_cache_stats()
-    assert warm["entries"] > 0
-    for profile in ALL_PROFILES.values():
-        prewarm_tbs_matrices(profile.primary_cell, SlotType.DL)
-        prewarm_tbs_matrices(profile.primary_cell, SlotType.UL,
-                             max_layers=profile.ul_max_layers)
-    after = tbs_matrix_cache_stats()
-    assert after["misses"] == warm["misses"]
-    assert after["hits"] > warm["hits"]
+    assert warm["hits"] > cold["hits"]
+    assert warm["misses"] - cold["misses"] < cold["misses"]

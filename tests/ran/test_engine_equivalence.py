@@ -168,12 +168,12 @@ def test_no_kernel_falls_back_to_reference(monkeypatch):
     with_kernel = _run_single(monkeypatch, simulate_downlink, cell, mean_sinr_db,
                               7, "", **params)
     monkeypatch.setattr(_native, "_state",
-                        {"loaded": True, "fn": None, "loop": None,
+                        {"loaded": True, "fn": None,
                          "error": "RuntimeError: no C compiler on PATH",
                          "fallback_sessions": 0})
     monkeypatch.delenv(ENGINE_ENV, raising=False)
     assert resolve_engine() == "reference"
-    assert _native.load_period_loop() is None
+    assert _native.load_kernel() is None
     status = _native.kernel_status()
     assert status["available"] is False
     assert "no C compiler" in status["error"]

@@ -379,7 +379,7 @@ class TestNativeInputCheck:
 
         calls = []
         monkeypatch.setattr(simulator, "resolve_engine", lambda: "native")
-        monkeypatch.setattr(_native, "load_period_loop",
+        monkeypatch.setattr(_native, "load_kernel",
                             lambda: lambda *args: calls.append(args))
         empty = SlotTrace.empty
 

@@ -1,14 +1,14 @@
-"""Byte-identity of the cross-session tensor engine.
+"""Byte-identity of the cohort entry points.
 
 A cohort of same-shape sessions (same cell/params/duration, differing
 only in seed) must come out of :mod:`repro.ran.tensor` byte-identical
-to running each session alone through the per-session engines — the
-same npz bytes a campaign export would write.  The matrix covers the
-knobs that reshape the slot loop (modulation table, TDD vs FDD, OLLA
-on/off, retx density via SINR regime, DL vs UL) crossed with cohort
-sizes, plus an adversarial mixed cohort where only some columns ever
-retransmit.  Tests that call the cohort engine directly need the
-compiled retx kernel and skip on hosts where it cannot be built.
+to running each session alone through the reference engine — the same
+npz bytes a campaign export would write, whether the traces are
+yielded on their own or packed into a cohort arena.  The matrix covers
+the knobs that reshape the slot loop (modulation table, TDD vs FDD,
+OLLA on/off, retx density via SINR regime, DL vs UL) crossed with
+cohort sizes, plus a mixed cohort where only some columns ever
+retransmit.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from repro.ran import _native, tensor
 from repro.ran.config import CellConfig, resolve_engine
 from repro.ran.simulator import SimParams, simulate_downlink, simulate_uplink
 from repro.ran.tensor import simulate_downlink_cohort, simulate_uplink_cohort
+from repro.xcal.arena import CohortArena
 from repro.xcal.io import npz_bytes, trace_to_arrays
 
 DURATION_S = 1.5
 JITTER_DB = 2.0
-
-requires_kernel = pytest.mark.skipif(
-    _native.load_kernel() is None,
-    reason="compiled retx kernel unavailable (no C compiler?)")
 
 
 def _trace_bytes(trace) -> bytes:
@@ -74,14 +71,15 @@ def _single_bytes(monkeypatch, simulate, cell: CellConfig, mean_sinr_db: float,
 
 def _cohort_bytes(simulate_cohort, cell: CellConfig, mean_sinr_db: float,
                   seeds: list[int], duration_s: float = DURATION_S,
-                  **params) -> list[bytes]:
+                  arena_factory=None, **params) -> list[bytes]:
     channels, rngs = [], []
     for seed in seeds:
         channel, rng = _channel_and_rng(mean_sinr_db, seed, cell, duration_s)
         channels.append(channel)
         rngs.append(rng)
     return [_trace_bytes(t) for t in simulate_cohort(
-        cell, channels, rngs, params=SimParams(**params))]
+        cell, channels, rngs, params=SimParams(**params),
+        arena_factory=arena_factory)]
 
 
 CASES = {
@@ -89,8 +87,7 @@ CASES = {
     "tdd-256qam-good": (_tdd_cell(Modulation.QAM256), 22.0, {}),
     # Mid SINR: OLLA converges to ~10% BLER, every column diverges often.
     "tdd-256qam-mid": (_tdd_cell(Modulation.QAM256), 12.0, {}),
-    # Poor SINR: retx windows dominate, the retx kernel carries most
-    # slots — the tensor pass must still match byte for byte.
+    # Poor SINR: retx windows dominate most slots.
     "tdd-256qam-poor": (_tdd_cell(Modulation.QAM256), 2.0, {}),
     "tdd-64qam": (_tdd_cell(Modulation.QAM64, bandwidth_mhz=60), 15.0, {}),
     "fdd-256qam": (_fdd_cell(), 18.0, {}),
@@ -102,7 +99,6 @@ CASES = {
 }
 
 
-@requires_kernel
 @pytest.mark.parametrize("cohort_size", [3, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_downlink_cohort_byte_identical(monkeypatch, case: str, cohort_size: int):
@@ -115,7 +111,6 @@ def test_downlink_cohort_byte_identical(monkeypatch, case: str, cohort_size: int
     assert cohort == singles
 
 
-@requires_kernel
 @pytest.mark.parametrize("seed0", [7, 70])
 def test_uplink_cohort_byte_identical(monkeypatch, seed0: int):
     cell = _tdd_cell(Modulation.QAM256)
@@ -126,15 +121,13 @@ def test_uplink_cohort_byte_identical(monkeypatch, seed0: int):
     assert cohort == singles
 
 
-@requires_kernel
 def test_divergent_retx_fallback_mixed_columns(monkeypatch):
-    """Adversarial cohort: some columns never fail, others retransmit.
+    """Mixed cohort: some columns never fail, others retransmit.
 
     With OLLA off and a conservative CQI mapping at high (per-seed
-    jittered) SINR, clean columns ride the tensor fast path for the
-    whole session while dirty columns walk their retransmissions
-    through the retx kernel — the cohort must hold a strict mix, and
-    every column must still match the reference oracle byte for byte.
+    jittered) SINR the cohort holds a strict mix of error-free and
+    retransmitting columns, and every column must still match the
+    reference oracle byte for byte.
     """
     cell = _tdd_cell(Modulation.QAM256)
     params = dict(olla_enabled=False, cqi_alpha=0.4)
@@ -154,15 +147,14 @@ def test_divergent_retx_fallback_mixed_columns(monkeypatch):
         channels.append(channel)
         rngs.append(rng)
 
-    tensor.reset_cohort_stats()
+    before = tensor.cohort_stats()
     cohort = [_trace_bytes(t) for t in simulate_downlink_cohort(
         cell, channels, rngs, params=SimParams(**params))]
     stats = tensor.cohort_stats()
 
     assert cohort == singles
-    assert stats["cohorts"] == 1
-    assert stats["columns"] == len(seeds)
-    assert stats["dirty_periods"] > 0
+    assert stats["cohorts"] - before["cohorts"] == 1
+    assert stats["columns"] - before["columns"] == len(seeds)
 
     # The adversarial mix: some columns retransmitted, some never did.
     retx_counts = []
@@ -181,85 +173,108 @@ HIGH_BLER_PARAMS = dict(cqi_alpha=2.0, retx_error_scale=1.0,
 HIGH_BLER_SINR = -2.0
 
 
-@requires_kernel
 def test_high_bler_cohort_byte_identical(monkeypatch):
-    """Forced >=80% dirty cells: the retx kernel carries the cohort.
-
-    At -2 dB with an aggressive CQI mapping nearly every (column, period)
-    cell holds pending retransmissions, so the clean-bookkeeping tier
-    almost never applies — the retx kernel does the work and must still
-    match the per-session reference byte for byte.  This case also
-    covers deep backlogs: 59 of its 646 dirty cells start a period with
-    more than 6 blocks pending.
-    """
+    """Retransmission-heavy cohort: at -2 dB with an aggressive CQI
+    mapping nearly every period of every column holds pending
+    retransmissions, some with deep backlogs, and each column must
+    still match the per-session reference byte for byte."""
     cell = _tdd_cell(Modulation.QAM256)
     seeds = list(range(5))
     singles = [_single_bytes(monkeypatch, simulate_downlink, cell,
                              HIGH_BLER_SINR, s, "reference", **HIGH_BLER_PARAMS)
                for s in seeds]
-    tensor.reset_cohort_stats()
     cohort = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
                            seeds, **HIGH_BLER_PARAMS)
-    stats = tensor.cohort_stats()
 
     assert cohort == singles
-    assert stats["dirty_periods"] / stats["cells"] >= 0.8
-    assert stats["batched_periods"] > 0
+
+
+@pytest.mark.parametrize("case", ["tdd-256qam-poor", "fdd-256qam"])
+def test_arena_rows_byte_identical(monkeypatch, case: str):
+    """Traces packed into the ``arena_factory`` arena are its row views
+    and serialize to the per-session bytes."""
+    cell, sinr, params = CASES[case]
+    seeds = [11, 12, 13, 14]
+    singles = [_single_bytes(monkeypatch, simulate_downlink, cell, sinr, s,
+                             "reference", **params) for s in seeds]
+    arenas = []
+
+    def factory(n_cols, n_slots, mu):
+        arenas.append(CohortArena.allocate(n_cols, n_slots, mu))
+        return arenas[-1]
+
+    channels, rngs = zip(*(_channel_and_rng(sinr, s, cell) for s in seeds))
+    traces = list(simulate_downlink_cohort(cell, channels, rngs,
+                                           params=SimParams(**params),
+                                           arena_factory=factory))
+    assert len(arenas) == 1
+    assert [arenas[0].row_index_of(t) for t in traces] == list(range(len(seeds)))
+    assert [_trace_bytes(t) for t in traces] == singles
+    # A factory that cannot allocate leaves the traces unpacked.
+    assert _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
+                         arena_factory=lambda *shape: None, **params) == singles
 
 
 def test_no_kernel_falls_back_to_reference(monkeypatch):
-    """Hosts without the compiled retx kernel never run the tensor pass.
-
-    The engine policy resolves cohorts to the per-session reference
-    engine — same bytes, no tensor cohorts, every session counted as a
-    fallback — and a direct cohort call fails loudly instead of running
-    a slower tier.
-    """
+    """``run_session_cohort`` calls ``simulate_*_cohort`` whatever the
+    engine: pinned to the reference engine, and on a host without the
+    native kernel, where every column counts as one fallback session."""
+    import repro.xcal.dataset as dataset
     from repro.core.runner import run_tasks
     from repro.operators.profiles import EU_PROFILES
     from repro.xcal.dataset import CampaignSpec, campaign_manifest
 
-    spec = CampaignSpec(minutes_per_operator=0.1, session_s=1.0, seed=11)
+    spec = CampaignSpec(minutes_per_operator=0.1, session_s=1.0, seed=11,
+                        ul_fraction=0.5)
     manifest = campaign_manifest({"V_Sp": EU_PROFILES["V_Sp"]}, spec)
+    directions = {task.kwargs["direction"] for task in manifest}
+    assert directions == {"DL", "UL"}
+    calls = []
+
+    def spy(name):
+        original = getattr(dataset, name)
+
+        def wrapped(cell, channels, rngs, **kwargs):
+            calls.append((name, len(channels)))
+            return original(cell, channels, rngs, **kwargs)
+
+        monkeypatch.setattr(dataset, name, wrapped)
+
+    spy("simulate_downlink_cohort")
+    spy("simulate_uplink_cohort")
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    tensor.reset_cohort_stats()
-    with_kernel = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
-    if _native.load_kernel() is not None:
-        assert tensor.cohort_stats()["cohorts"] > 0
+    policy = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
+    assert sum(n for _, n in calls) == len(manifest)
 
-    monkeypatch.setattr(_native, "load_kernel", lambda: None)
-    assert resolve_engine(64) == "reference"
-    tensor.reset_cohort_stats()
-    fallbacks = _native.kernel_status()["fallback_sessions"]
-    without = [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)]
-    assert without == with_kernel
-    assert tensor.cohort_stats()["cohorts"] == 0
-    fallbacks += len(manifest)
-    assert _native.kernel_status()["fallback_sessions"] == fallbacks
-    # A pinned run is not a fallback.
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)] == with_kernel
+    calls.clear()
+    fallbacks = _native.kernel_status()["fallback_sessions"]
+    assert [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)] == policy
+    assert {name for name, _ in calls} == {"simulate_downlink_cohort",
+                                           "simulate_uplink_cohort"}
+    assert sum(n for _, n in calls) == len(manifest)
+    # A pinned run is not a fallback.
     assert _native.kernel_status()["fallback_sessions"] == fallbacks
 
-    cell, sinr, _ = CASES["tdd-256qam-good"]
-    ch1, rng1 = _channel_and_rng(sinr, 1, cell)
-    ch2, rng2 = _channel_and_rng(sinr, 2, cell)
-    with pytest.raises(RuntimeError, match="retx kernel"):
-        simulate_downlink_cohort(cell, [ch1, ch2], [rng1, rng2])
+    monkeypatch.delenv("REPRO_ENGINE")
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+    assert resolve_engine() == "reference"
+    calls.clear()
+    assert [_trace_bytes(t) for t in run_tasks(manifest, jobs=1)] == policy
+    assert sum(n for _, n in calls) == len(manifest)
+    assert (_native.kernel_status()["fallback_sessions"]
+            == fallbacks + len(manifest))
 
 
-@requires_kernel
 def test_cohort_stats_count_passes():
-    tensor.reset_cohort_stats()
-    assert tensor.cohort_stats()["cohorts"] == 0
+    before = tensor.cohort_stats()
     cell, sinr, params = CASES["tdd-256qam-good"]
     _cohort_bytes(simulate_downlink_cohort, cell, sinr, [5, 6, 7], **params)
     stats = tensor.cohort_stats()
-    assert stats["cohorts"] == 1 and stats["columns"] == 3
-    assert stats["slots"] > 0 and stats["seconds"] > 0
+    assert stats["cohorts"] - before["cohorts"] == 1
+    assert stats["columns"] - before["columns"] == 3
 
 
-@requires_kernel
 def test_cohort_validates_inputs():
     cell, sinr, params = CASES["tdd-256qam-good"]
     ch, rng = _channel_and_rng(sinr, 1, cell)
@@ -277,31 +292,32 @@ def test_cohort_validates_inputs():
 class TestEnginePolicy:
     @pytest.fixture(autouse=True)
     def kernel_loaded(self, monkeypatch):
-        # The policy on a host where the retx kernel loads; the no-kernel
-        # column is test_no_kernel_falls_back_to_reference.
+        # The policy on a host where the native kernel loads; the
+        # no-kernel cohort run is test_no_kernel_falls_back_to_reference.
         monkeypatch.setattr(_native, "load_kernel", lambda: object())
 
     def test_decision_table(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine(1) == "native"
-        assert resolve_engine(2) == "tensor"
-        assert resolve_engine(32) == "tensor"
+        assert resolve_engine() == "native"
         monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine(1) == "reference"
-        assert resolve_engine(32) == "reference"
+        assert resolve_engine() == "reference"
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        assert resolve_engine() == "reference"
+        monkeypatch.delenv("REPRO_ENGINE")
+        assert resolve_engine() == "reference"
 
     def test_invalid_engine(self, monkeypatch):
-        # "tensor" and "auto" name the policy, not an engine to pin;
-        # "vectorized" names a deleted engine.
+        # "tensor" and "auto" name no engine to pin; "vectorized" names
+        # a deleted engine.
         for value in ("warp", "tensor", "auto", "vectorized"):
             monkeypatch.setenv("REPRO_ENGINE", value)
             with pytest.raises(ValueError, match="REPRO_ENGINE"):
-                resolve_engine(1)
+                resolve_engine()
 
     def test_env_override(self, monkeypatch):
-        # The switch pins cohorts to the per-session engine too.
+        # The switch pins cohorts to the reference engine too.
         monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine(64) == "reference"
+        assert resolve_engine() == "reference"
         # An empty value means unset: the policy applies.
         monkeypatch.setenv("REPRO_ENGINE", "")
-        assert resolve_engine(64) == "tensor"
+        assert resolve_engine() == "native"

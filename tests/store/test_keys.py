@@ -96,6 +96,40 @@ class TestTaskFingerprint:
             task_fingerprint(SessionTask(fn=local))
 
 
+    def test_key_is_sha256_of_the_canonical_payload(self):
+        import hashlib
+        import json
+
+        task = _campaign_task()
+        payload = {"salt": STORE_SCHEMA_VERSION,
+                   "fn": "repro.xcal.dataset:run_session",
+                   "kwargs": json.loads(canonical_json(dict(task.kwargs))),
+                   "seed": 41}
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert task_fingerprint(task) == hashlib.sha256(encoded.encode()).hexdigest()
+        seedless = SessionTask(fn=run_session, kwargs={"direction": "DL"})
+        payload.update(kwargs={"direction": "DL"}, seed=None)
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert task_fingerprint(seedless) == hashlib.sha256(encoded.encode()).hexdigest()
+
+    def test_memo_encodes_shared_kwargs_once(self):
+        profile = EU_PROFILES["V_Sp"]
+        spec = CampaignSpec(minutes_per_operator=0.2, session_s=4.0, seed=9)
+        tasks = [SessionTask(fn=run_session, kwargs={"profile": profile, "spec": spec,
+                                                     "direction": direction},
+                             seed=seed)
+                 for direction in ("DL", "UL") for seed in range(5)]
+        # Equal but distinct objects only miss the memo.
+        tasks.append(_campaign_task())
+        memo: dict = {}
+        assert ([task_fingerprint(t, memo=memo) for t in tasks]
+                == [task_fingerprint(t) for t in tasks])
+        assert len(memo) == 3
+        with pytest.raises(UnfingerprintableTask):
+            task_fingerprint(SessionTask(fn=run_session, kwargs={"spec": object()}),
+                             memo=memo)
+
+
 class TestCrossProcessStability:
     _SNIPPET = """
 from repro.core.runner import SessionTask

@@ -298,6 +298,13 @@ class TestReadAhead:
 
     N_TASKS = 11  # several read-ahead windows
 
+    @pytest.fixture(autouse=True)
+    def read_every_entry_ahead(self, monkeypatch):
+        # These entries are a few KB; read them on the threads anyway.
+        from repro.store import backend
+
+        monkeypatch.setattr(backend, "READ_AHEAD_MIN_BYTES", 0)
+
     def _filled(self, tmp_path) -> tuple[list[SessionTask], list[str]]:
         manifest = _manifest(tmp_path, n_tasks=self.N_TASKS)
         store = TraceStore(tmp_path / "cache")
@@ -328,6 +335,35 @@ class TestReadAhead:
         assert len(threads) == self.N_TASKS
         assert all(name.startswith("repro-read-ahead") for name in threads)
         assert _executions(tmp_path) == self.N_TASKS
+
+    def test_small_entries_are_read_by_get(self, tmp_path, monkeypatch):
+        """Entries below ``READ_AHEAD_MIN_BYTES`` are read in the calling
+        thread, each sidecar once, with the same results and counts."""
+        from repro.store import backend
+
+        manifest, keys = self._filled(tmp_path)
+        serial = TraceStore(tmp_path / "cache")
+        expected = [serial.get(key) for key in keys]
+        monkeypatch.setattr(backend, "READ_AHEAD_MIN_BYTES", 2**30)
+        threads, sidecars = [], []
+        fetch, sidecar = backend.TraceStore._fetch, backend.TraceStore._sidecar
+
+        def spy_fetch(store, key, sidecar=None):
+            threads.append(threading.current_thread().name)
+            return fetch(store, key, sidecar)
+
+        def spy_sidecar(store, key):
+            sidecars.append(key)
+            return sidecar(store, key)
+
+        monkeypatch.setattr(backend.TraceStore, "_fetch", spy_fetch)
+        monkeypatch.setattr(backend.TraceStore, "_sidecar", spy_sidecar)
+        warm = TraceStore(tmp_path / "cache")
+        _assert_same_results(run_tasks(manifest, store=warm), expected)
+        assert (warm.hits, warm.misses, warm.bytes_read) == \
+            (serial.hits, serial.misses, serial.bytes_read)
+        assert threads == [threading.current_thread().name] * self.N_TASKS
+        assert sorted(sidecars) == sorted(keys)
 
     @pytest.mark.parametrize("damage", ["corrupt", "payload_gone", "entry_gone"])
     def test_failed_middle_hit_recomputed_in_order(self, tmp_path, monkeypatch, damage):

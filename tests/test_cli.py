@@ -323,8 +323,9 @@ class TestEngineEnv:
     ], ids=["run", "campaign", "bench"])
     @pytest.mark.parametrize("value", ["warp", "tensor", "auto"])
     def test_invalid_engine_env_rejected(self, capsys, monkeypatch, argv, value):
-        # Only the reference engine can be pinned; "tensor" and "auto"
-        # name the policy, which an unset variable already means.
+        # Only the reference engine can be pinned; "auto" names the
+        # policy, which an unset variable already means, and "tensor" a
+        # deleted cohort engine.
         monkeypatch.setenv("REPRO_ENGINE", value)
         assert main(argv) == 2
         captured = capsys.readouterr()
