@@ -26,9 +26,18 @@ SPEED_OF_LIGHT = 299_792_458.0
 def _ar1_scan_const(a: float, noise: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Constant-coefficient scan body; fills ``x[1:]`` in place.
 
+    ``x`` may be ``noise`` itself: every element of ``noise`` is read
+    before or as that element of ``x`` is written.
+
     The chunk length and per-chunk arithmetic are load-bearing: cached
     campaign traces embed this exact floating-point evaluation order,
-    so any change here is a store-schema change.
+    so any change here is a store-schema change.  The full chunks run
+    as the rows of one ``(full, chunk)`` block (divide, row-wise
+    ``cumsum``, the carry from the previous chunk end, multiply) and
+    the trailing partial chunk runs alone; that keeps the chunk rule
+    and every element's operation order of a chunk-at-a-time loop, so
+    the values are bit for bit those of the loop and the block form is
+    not a schema change.
     """
     n = noise.size
     if a == 0.0:
@@ -38,16 +47,29 @@ def _ar1_scan_const(a: float, noise: np.ndarray, x: np.ndarray) -> np.ndarray:
     # long runs a^-t overflows, so process in bounded-length chunks.
     log_a = -np.log(abs(a))
     chunk = max(16, min(4096, int(600.0 / max(1e-9, log_a)) if abs(a) < 1 else 4096))
-    start = 1
+    full = (n - 1) // chunk
+    start = 1 + full * chunk
     prev = x[0]
-    while start < n:
-        stop = min(n, start + chunk)
-        k = stop - start
-        powers = a ** np.arange(1, k + 1)
-        scaled = noise[start:stop] / powers
-        x[start:stop] = powers * (prev + np.cumsum(scaled))
-        prev = x[stop - 1]
-        start = stop
+    if full:
+        powers = a ** np.arange(1, chunk + 1)
+        block = x[1:start].reshape(full, chunk)
+        np.divide(noise[1:start].reshape(full, chunk), powers, out=block)
+        np.cumsum(block, axis=1, out=block)
+        # Row r continues from the end of row r - 1: the same
+        # ``powers[-1] * (prev + cumsum[-1])`` the chunk loop stores,
+        # here in Python floats (IEEE doubles, same rounding).
+        carries = []
+        prev = float(prev)
+        last = float(powers[-1])
+        for row_sum in block[:, -1].tolist():
+            carries.append(prev)
+            prev = last * (prev + row_sum)
+        block += np.array(carries)[:, None]
+        block *= powers
+    if start < n:
+        powers = a ** np.arange(1, n - start + 1)
+        scaled = noise[start:] / powers
+        x[start:] = powers * (prev + np.cumsum(scaled))
     return x
 
 
@@ -180,8 +202,14 @@ class Ar1Fading:
             return np.zeros(n_slots)
         a = self.rho
         b = self.sigma_db * np.sqrt(1.0 - a * a)
-        w = rng.standard_normal(n_slots)
-        return ar1_scan(a, b * w, init=self.sigma_db * w[0])
+        # The draws become the noise and then the samples, in place.
+        x = rng.standard_normal(n_slots)
+        init = self.sigma_db * x[0]
+        x *= b
+        x[0] = init
+        if n_slots > 1:
+            _ar1_scan_const(a, x, x)
+        return x
 
     @classmethod
     def for_speed(

@@ -25,7 +25,7 @@ from repro.channel.mobility import MobilityModel, Position, Stationary
 from repro.channel.pathloss import UMA, PathLossModel
 from repro.channel.shadowing import CorrelatedShadowing
 from repro.nr.numerology import Numerology, slot_duration_ms
-from repro.nr.signal import db_to_linear, linear_to_db, noise_power_dbm, rsrq_from_sinr
+from repro.nr.signal import db_to_linear, linear_to_db, noise_power_dbm, rsrq_from_sinr_linear
 
 #: Number of slots per large-scale update (50 ms at 30 kHz SCS).
 LARGE_SCALE_STRIDE = 100
@@ -58,6 +58,10 @@ class ChannelRealization:
         Index of the serving gNB per slot (always 0 for synthetic runs).
     mu:
         Numerology of the slot grid.
+    sinr_linear:
+        ``db_to_linear(sinr_db)``, the one dB-to-linear pass of a run:
+        RSRQ and the simulator's channel capacity read it.  Computed
+        here when not given.
     """
 
     sinr_db: np.ndarray
@@ -65,10 +69,13 @@ class ChannelRealization:
     rsrq_db: np.ndarray
     serving_cell: np.ndarray
     mu: Numerology = Numerology.MU_1
+    sinr_linear: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.sinr_linear is None:
+            self.sinr_linear = db_to_linear(self.sinr_db)
         n = self.sinr_db.size
-        for name in ("rsrp_dbm", "rsrq_db", "serving_cell"):
+        for name in ("rsrp_dbm", "rsrq_db", "serving_cell", "sinr_linear"):
             if getattr(self, name).size != n:
                 raise ValueError(f"{name} length mismatch ({getattr(self, name).size} != {n})")
 
@@ -185,16 +192,17 @@ class ChannelModel:
         fading = Ar1Fading.for_speed(
             mobility.speed_mps, self.frequency_ghz, slot_ms, sigma_db=self.fading_sigma_db
         )
-        sinr = sinr + fading.sample(n_slots, rng)
-        sinr = sinr - self.blockage.attenuation_db(n_slots, slot_ms, mobility.speed_mps, rng)
+        sinr += fading.sample(n_slots, rng)
+        sinr -= self.blockage.attenuation_db(n_slots, slot_ms, mobility.speed_mps, rng)
+        sinr_linear = db_to_linear(sinr)
 
         rsrp_coarse = serving_dbm - linear_to_db(12.0 * self.n_rb)
         rsrp = _repeat_to(rsrp_coarse, n_slots, LARGE_SCALE_STRIDE)
         # RSRQ during saturating measurements: the serving cell is fully
         # loaded (load = 1), giving the paper's -10.8..-20 dB range.
-        rsrq = rsrq_from_sinr(sinr, load=1.0)
+        rsrq = rsrq_from_sinr_linear(sinr_linear, load=1.0)
         serving = _repeat_to(serving_coarse, n_slots, LARGE_SCALE_STRIDE)
-        return ChannelRealization(sinr, rsrp, np.asarray(rsrq), serving, mu=mu)
+        return ChannelRealization(sinr, rsrp, rsrq, serving, mu=mu, sinr_linear=sinr_linear)
 
 
 @dataclass(frozen=True)
@@ -253,16 +261,21 @@ class SyntheticChannel:
         n_slots = max(1, int(round(duration_s * 1000.0 / slot_ms)))
         fast = Ar1Fading(self.fast_sigma_db, self.fast_coherence_slots)
         slow = Ar1Fading(self.slow_sigma_db, self.slow_coherence_slots)
-        sinr = self.mean_sinr_db + fast.sample(n_slots, rng) + slow.sample(n_slots, rng)
+        # mean + fast + slow, summed in place into the fast draws (which
+        # come first: the draw order fixes the bytes).
+        sinr = fast.sample(n_slots, rng)
+        sinr += self.mean_sinr_db
+        sinr += slow.sample(n_slots, rng)
         if extra_attenuation_db is not None:
             attenuation = np.asarray(extra_attenuation_db, dtype=float)
             if attenuation.size < n_slots:
                 raise ValueError("extra_attenuation_db shorter than the slot grid")
-            sinr = sinr - attenuation[:n_slots]
+            sinr -= attenuation[:n_slots]
         else:
-            sinr = sinr - self.blockage.attenuation_db(n_slots, slot_ms, self.speed_mps, rng)
+            sinr -= self.blockage.attenuation_db(n_slots, slot_ms, self.speed_mps, rng)
+        sinr_linear = db_to_linear(sinr)
         # RSRP and the serving cell are constant over a synthetic run.
         rsrp = np.broadcast_to(np.float64(self.rsrp_ref_dbm), n_slots)
-        rsrq = np.asarray(rsrq_from_sinr(sinr, load=self.rsrq_load))
+        rsrq = rsrq_from_sinr_linear(sinr_linear, load=self.rsrq_load)
         serving = np.broadcast_to(np.int64(0), n_slots)
-        return ChannelRealization(sinr, rsrp, rsrq, serving, mu=mu)
+        return ChannelRealization(sinr, rsrp, rsrq, serving, mu=mu, sinr_linear=sinr_linear)

@@ -67,6 +67,12 @@ class McsTable:
         self.name = name
         self.entries = tuple(entries)
         self.max_modulation = max_modulation
+        #: The table's content, as the TBS matrix cache keys it: two
+        #: tables with identical entries share their matrices.
+        self.signature = tuple(
+            (entry.index, entry.modulation.bits_per_symbol, entry.code_rate)
+            for entry in self.entries
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -25,9 +25,17 @@ DEFAULT_ALPHA = 0.65
 NOISE_DENSITY_DBM_HZ = -174.0
 
 
+def _unwrap(result: np.ndarray) -> float | np.ndarray:
+    """A scalar for a 0-d result (as numpy returns for a scalar input)."""
+    return result if result.ndim else result[()]
+
+
 def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
-    """Convert dB to a linear power ratio."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
+    """Convert dB to a linear power ratio (``10 ** (db / 10)``)."""
+    db = np.asarray(db, dtype=float)
+    linear = np.divide(db, 10.0, out=np.empty(db.shape))
+    np.power(10.0, linear, out=linear)
+    return _unwrap(linear)
 
 
 def linear_to_db(linear: float | np.ndarray) -> float | np.ndarray:
@@ -39,8 +47,21 @@ def linear_to_db(linear: float | np.ndarray) -> float | np.ndarray:
 
 def shannon_efficiency(sinr_db: float | np.ndarray, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Attenuated Shannon spectral efficiency in bits/s/Hz."""
-    sinr_lin = db_to_linear(np.asarray(sinr_db, dtype=float))
-    return alpha * np.log2(1.0 + sinr_lin)
+    return shannon_efficiency_linear(db_to_linear(sinr_db), alpha)
+
+
+def shannon_efficiency_linear(sinr_lin: float | np.ndarray,
+                              alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+    """:func:`shannon_efficiency` of a linear SINR (``db_to_linear`` of it).
+
+    Evaluates ``alpha * log2(1 + sinr_lin)`` in one fresh buffer;
+    ``sinr_lin`` is not modified.
+    """
+    sinr_lin = np.asarray(sinr_lin, dtype=float)
+    eff = np.add(1.0, sinr_lin, out=np.empty(sinr_lin.shape))
+    np.log2(eff, out=eff)
+    np.multiply(alpha, eff, out=eff)
+    return _unwrap(eff)
 
 
 def sinr_to_cqi(
@@ -104,11 +125,26 @@ def rsrq_from_sinr(
     A fully loaded cell saturates at -10.79 dB for infinite SINR, matching
     the empirical "RSRQ better than -12 dB is good" rule the paper applies.
     """
+    return rsrq_from_sinr_linear(db_to_linear(sinr_db), load)
+
+
+def rsrq_from_sinr_linear(sinr_lin: float | np.ndarray, load: float = 1.0) -> float | np.ndarray:
+    """:func:`rsrq_from_sinr` of a linear SINR (``db_to_linear`` of it).
+
+    Evaluates ``10 * log10(1 / (12 * (load + 1 / sinr_lin)))`` in one
+    fresh buffer; ``sinr_lin`` is not modified.
+    """
     if not 0.0 < load <= 1.0:
         raise ValueError("load must lie in (0, 1]")
-    sinr_lin = db_to_linear(np.asarray(sinr_db, dtype=float))
-    rsrq_lin = 1.0 / (12.0 * (load + 1.0 / sinr_lin))
-    return linear_to_db(rsrq_lin)
+    sinr_lin = np.asarray(sinr_lin, dtype=float)
+    rsrq = np.divide(1.0, sinr_lin, out=np.empty(sinr_lin.shape))
+    rsrq += load
+    rsrq *= 12.0
+    np.divide(1.0, rsrq, out=rsrq)
+    with np.errstate(divide="ignore"):
+        np.log10(rsrq, out=rsrq)
+    rsrq *= 10.0
+    return _unwrap(rsrq)
 
 
 def sinr_from_rsrq(rsrq_db: float | np.ndarray, load: float = 1.0) -> float | np.ndarray:

@@ -131,14 +131,49 @@ def tbs_lookup_matrix(
     """Precomputed TBS (bits) indexed ``[mcs_index, layers-1]``.
 
     The slot-level simulator runs hundreds of thousands of slots; looking
-    TBS up from this matrix keeps the hot loop vectorized.
+    TBS up from this matrix keeps the hot loop vectorized.  The matrix
+    runs :func:`transport_block_size`'s steps over the whole
+    ``(mcs, layers)`` grid at once, with the same products in the same
+    order and exact integer forms of its ``floor(log2)``, ``round`` and
+    ``ceil`` steps, so every entry equals the scalar function's.
     """
     matrix = np.zeros((len(mcs_table), max_layers), dtype=np.int64)
-    for entry in mcs_table:
-        for layers in range(1, max_layers + 1):
-            matrix[entry.index, layers - 1] = transport_block_size(
-                n_prb, entry, layers, symbols=symbols, dmrs_re_per_prb=dmrs_re_per_prb
-            )
+    if matrix.size == 0:
+        return matrix
+    if n_prb < 0:
+        raise ValueError("n_prb must be non-negative")
+    if max_layers > 8:
+        raise ValueError("layers must lie in [1, 8]")
+    if n_prb == 0 or symbols == 0:
+        return matrix
+    n_re = usable_re_per_prb(symbols, dmrs_re_per_prb) * n_prb
+    entries = tuple(mcs_table)
+    code_rate = np.array([[entry.code_rate] for entry in entries])
+    q_m = np.array([[entry.modulation.bits_per_symbol] for entry in entries])
+    n_info = n_re * code_rate * q_m * np.arange(1, max_layers + 1)
+    tbs = np.zeros(n_info.shape, dtype=np.int64)
+
+    # N_info <= 3824: quantize and round up into Table 5.1.3.2-1.  For
+    # x > 0, frexp's exponent minus one is floor(log2(x)) exactly.
+    small = (n_info > 0) & (n_info <= 3824)
+    info = n_info[small]
+    n = np.maximum(3, np.frexp(info)[1].astype(np.int64) - 7)
+    prime = np.maximum(24, np.left_shift(1, n) * np.right_shift(info.astype(np.int64), n))
+    idx = np.searchsorted(_TBS_ARRAY, prime, side="left")
+    tbs[small] = _TBS_ARRAY[np.minimum(idx, len(_TBS_ARRAY) - 1)]
+
+    # N_info > 3824: quantize (round half to even, as Python's round)
+    # and segment into code blocks.
+    large = n_info > 3824
+    info = n_info[large] - 24
+    step = np.left_shift(1, np.frexp(info)[1].astype(np.int64) - 6)
+    prime = np.maximum(3840, step * np.rint(info / step).astype(np.int64))
+    low_rate = np.broadcast_to(code_rate <= 0.25, n_info.shape)[large]
+    blocks = np.where(low_rate, -(-(prime + 24) // 3816),
+                      np.where(prime > 8424, -(-(prime + 24) // 8424), 1))
+    tbs[large] = 8 * blocks * -(-(prime + 24) // (8 * blocks)) - 24
+
+    matrix[[entry.index for entry in entries]] = tbs
     return matrix
 
 
@@ -155,13 +190,6 @@ _matrix_hits = 0
 _matrix_misses = 0
 
 
-def _table_signature(mcs_table) -> tuple:
-    return tuple(
-        (entry.index, entry.modulation.bits_per_symbol, entry.code_rate)
-        for entry in mcs_table
-    )
-
-
 def cached_tbs_lookup_matrix(
     mcs_table,
     n_prb: int,
@@ -176,7 +204,7 @@ def cached_tbs_lookup_matrix(
     :func:`tbs_matrix_cache_stats` (``repro cache stats`` prints them).
     """
     global _matrix_hits, _matrix_misses
-    key = (_table_signature(mcs_table), n_prb, max_layers, symbols, dmrs_re_per_prb)
+    key = (mcs_table.signature, n_prb, max_layers, symbols, dmrs_re_per_prb)
     matrix = _MATRIX_CACHE.get(key)
     if matrix is None:
         _matrix_misses += 1

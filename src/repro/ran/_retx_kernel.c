@@ -15,6 +15,8 @@
  *   in place.
  * - `repro_error_probability` is the logistic error probability of one
  *   period, the one evaluation `repro_run_periods` calls.
+ * - When the last period is done, `repro_run_periods` forward-fills the
+ *   CQI column over unscheduled slots (`forward_fill_cqi`).
  *
  * Floating point.  Byte-identity with the Python engines holds because
  * every double operation here is one IEEE-754 +, -, *, / or comparison
@@ -314,8 +316,28 @@ static inline void write_slot(session_t *s, int64_t i, int64_t prb,
     s->t_error[i] = !ok;
 }
 
+/* The rule of `_forward_fill_cqi` in simulator.py: a slot without a CQI
+ * (0) takes the last earlier slot's, slots before the first CQI take
+ * the first one, and a column with no CQI at all stays as it is. */
+static void forward_fill_cqi(int8_t *cqi, int64_t n)
+{
+    int64_t first = 0;
+    while (first < n && cqi[first] <= 0)
+        first++;
+    if (first == n)
+        return;
+    int8_t last = cqi[first];
+    for (int64_t i = 0; i < n; i++) {
+        if (cqi[i] > 0)
+            last = cqi[i];
+        else
+            cqi[i] = last;
+    }
+}
+
 /* Run periods [s->p, n_periods) of the session.  Returns LOOP_DONE
- * when the session is finished, or NEED_ROOM when the lane needs more
+ * when the session is finished (the CQI column then forward-filled),
+ * or NEED_ROOM when the lane needs more
  * than s->cap entries (the caller widens the lane and calls again);
  * that return happens before the period changes any state, so the
  * next call resumes exactly there. */
@@ -411,5 +433,6 @@ int64_t repro_run_periods(session_t *s)
         }
         s->p = p + 1;
     }
+    forward_fill_cqi(s->t_cqi, n_slots);
     return LOOP_DONE;
 }

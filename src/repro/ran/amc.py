@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nr.signal import shannon_efficiency
+from repro.nr.signal import shannon_efficiency, shannon_efficiency_linear
 
 #: Standard initial-BLER operating target.
 DEFAULT_BLER_TARGET = 0.10
@@ -58,6 +58,11 @@ class BlerModel:
         only ``eff_mcs`` changes period to period).
         """
         return shannon_efficiency(sinr_db, self.alpha)
+
+    def capacity_linear(self, sinr_lin) -> np.ndarray:
+        """:meth:`capacity` of a linear SINR, such as a channel
+        realization's ``sinr_linear`` (same values, no dB conversion)."""
+        return shannon_efficiency_linear(sinr_lin, self.alpha)
 
     def error_probability_given_capacity(self, eff_mcs, eff_cap,
                                          out: np.ndarray | None = None) -> np.ndarray:

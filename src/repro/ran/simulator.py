@@ -580,7 +580,7 @@ def _simulate_direction(
     cqi_all = np.minimum(
         sinr_to_cqi(measured_all, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX
     )
-    eff_cap = params.bler.capacity(sinr)
+    eff_cap = params.bler.capacity_linear(channel.sinr_linear)
     # Grant sizes depend only on the pre-drawn background series; the
     # whole quantization chain runs once (np.rint ties-to-even matches
     # the scalar round() it replaces).
@@ -596,8 +596,7 @@ def _simulate_direction(
                         max_layers, usable, special_mask, uniforms,
                         retx_uniforms, measured_all, cqi_all, period_prb,
                         eff_cap, tbs_cache)
-        _forward_fill_cqi(trace)
-        return trace
+        return trace  # the kernel forward-filled the CQI column
     # The reference loop: pinned, or the kernel did not load.
     if pinned_engine() is None:
         _native.count_fallback()  # unpinned, yet no kernel: never silent
@@ -714,7 +713,11 @@ def _simulate_direction(
 
 
 def _forward_fill_cqi(trace: SlotTrace) -> None:
-    """Propagate the last reported CQI into unscheduled slots."""
+    """Propagate the last reported CQI into unscheduled slots.
+
+    The native period loop applies the same rule in C when it finishes
+    a session (``forward_fill_cqi`` in ``_retx_kernel.c``).
+    """
     cqi = trace.cqi
     mask = cqi > 0
     if not mask.any():

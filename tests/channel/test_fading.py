@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.channel.fading import Ar1Fading, ar1_scan, coherence_time_s, doppler_hz
+from repro.channel.fading import (
+    Ar1Fading,
+    _ar1_scan_const,
+    ar1_scan,
+    coherence_time_s,
+    doppler_hz,
+)
 
 
 def _scan_loop(coeff, noise, init):
@@ -153,3 +159,92 @@ class TestAr1:
         # series degenerates to IID draws instead of NaN.
         series = Ar1Fading(sigma_db=2.0, coherence_slots=1e-6).sample(64, rng)
         assert np.all(np.isfinite(series))
+
+
+def _chunk_length(a: float) -> int:
+    """The constant-coefficient scan's chunk rule."""
+    log_a = -np.log(abs(a))
+    return max(16, min(4096, int(600.0 / max(1e-9, log_a)) if abs(a) < 1 else 4096))
+
+
+def _chunk_loop(a: float, noise: np.ndarray, init: float) -> np.ndarray:
+    """Oracle: the constant-coefficient scan one chunk at a time, the
+    loop the block form must reproduce byte for byte."""
+    x = np.empty(noise.size)
+    x[0] = init
+    n = noise.size
+    if a == 0.0:
+        x[1:] = noise[1:]
+        return x
+    log_a = -np.log(abs(a))
+    chunk = max(16, min(4096, int(600.0 / max(1e-9, log_a)) if abs(a) < 1 else 4096))
+    start = 1
+    prev = x[0]
+    while start < n:
+        stop = min(n, start + chunk)
+        k = stop - start
+        powers = a ** np.arange(1, k + 1)
+        scaled = noise[start:stop] / powers
+        x[start:stop] = powers * (prev + np.cumsum(scaled))
+        prev = x[stop - 1]
+        start = stop
+    return x
+
+
+#: Coefficients by the chunk length they select: the 16-slot floor
+#: (coherence 0.025 slots), about 1200 (coherence 2), the 4096 cap, and
+#: |a| >= 1 (always 4096 slots).
+SCAN_COEFFICIENTS = {
+    "floor": float(np.exp(-1.0 / 0.025)),
+    "chunk-1200": float(np.exp(-1.0 / 2.0)),
+    "cap": float(np.exp(-1.0 / 800.0)),
+    "negative": -0.7,
+    "one": 1.0,
+    "above-one": 1.0005,
+    "minus-one": -1.0,
+}
+
+
+class TestScanMatchesChunkLoop:
+    """The block-form constant scan equals the chunk loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_COEFFICIENTS))
+    def test_chunk_boundaries(self, name):
+        a = SCAN_COEFFICIENTS[name]
+        chunk = _chunk_length(a)
+        rng = np.random.default_rng(11)
+        # n - 1 below one chunk, exactly k chunks, and k chunks plus one.
+        for n_minus_1 in (chunk - 1, chunk, 3 * chunk, 3 * chunk + 1):
+            noise = rng.standard_normal(n_minus_1 + 1)
+            with np.errstate(all="ignore"):
+                want = _chunk_loop(a, noise, 0.25)
+                got = ar1_scan(a, noise, init=0.25)
+                aliased = noise.copy()
+                aliased[0] = 0.25
+                _ar1_scan_const(a, aliased, aliased)
+            assert got.tobytes() == want.tobytes(), (name, n_minus_1)
+            assert aliased.tobytes() == want.tobytes(), (name, n_minus_1)
+
+    def test_chunk_lengths_covered(self):
+        lengths = {name: _chunk_length(a) for name, a in SCAN_COEFFICIENTS.items()}
+        assert lengths["floor"] == 16
+        assert 1195 <= lengths["chunk-1200"] <= 1200
+        assert lengths["cap"] == lengths["one"] == lengths["above-one"] == 4096
+
+    def test_zero_coefficient(self):
+        noise = np.random.default_rng(2).standard_normal(5000)
+        want = _chunk_loop(0.0, noise, 1.5)
+        assert ar1_scan(0.0, noise, init=1.5).tobytes() == want.tobytes()
+        assert want[1:].tobytes() == noise[1:].tobytes()
+
+    @pytest.mark.parametrize("n_slots", [1, 2, 100_000])
+    @pytest.mark.parametrize("coherence", [0.025, 2.0, 30.0, 800.0])
+    def test_sample_matches_chunk_loop(self, n_slots, coherence):
+        fading = Ar1Fading(sigma_db=2.5, coherence_slots=coherence)
+        w = np.random.default_rng(9).standard_normal(n_slots)
+        a = fading.rho
+        b = fading.sigma_db * np.sqrt(1.0 - a * a)
+        want = _chunk_loop(a, b * w, fading.sigma_db * w[0])
+        got = fading.sample(n_slots, np.random.default_rng(9))
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()

@@ -108,3 +108,74 @@ class TestGeometricChannel:
     def test_load_validation(self):
         with pytest.raises(ValueError):
             ChannelModel(sites=[GnbSite(Position(0, 0))], neighbour_load=1.5)
+
+
+def _linear(sinr_db: np.ndarray) -> np.ndarray:
+    """The dB-to-linear expression each consumer evaluated on its own."""
+    return np.power(10.0, np.asarray(sinr_db, dtype=float) / 10.0)
+
+
+class TestOneLinearPass:
+    """A realization converts its SINR to linear once; RSRQ and the
+    simulator's channel capacity read that array and keep the bytes of
+    the expressions that each converted the dB series again."""
+
+    BLOCKED = BlockageProcess(blockage_rate_hz=1.0, mean_blockage_duration_s=0.2,
+                              blockage_attenuation_db=25.0)
+
+    def _check(self, realization, load: float) -> None:
+        from repro.ran.amc import BlerModel
+
+        sinr = realization.sinr_db
+        assert realization.sinr_linear.tobytes() == _linear(sinr).tobytes()
+        with np.errstate(divide="ignore"):
+            rsrq = 10.0 * np.log10(1.0 / (12.0 * (load + 1.0 / _linear(sinr))))
+        assert realization.rsrq_db.tobytes() == rsrq.tobytes()
+        bler = BlerModel()
+        eff_cap = bler.alpha * np.log2(1.0 + _linear(sinr))
+        assert bler.capacity_linear(realization.sinr_linear).tobytes() == eff_cap.tobytes()
+        assert bler.capacity(sinr).tobytes() == eff_cap.tobytes()
+
+    @pytest.mark.parametrize("blockage", [False, True])
+    def test_synthetic(self, blockage):
+        from repro.channel.fading import Ar1Fading
+        from repro.nr.numerology import slot_duration_ms
+
+        spec = SyntheticChannel(mean_sinr_db=9.0, rsrq_load=0.7, speed_mps=1.4,
+                                **({"blockage": self.BLOCKED} if blockage else {}))
+        realization = spec.realize(3.0, rng=np.random.default_rng(4))
+        self._check(realization, 0.7)
+        # The SINR sums its terms in the order ``mean + fast + slow - blockage``.
+        rng = np.random.default_rng(4)
+        n = realization.n_slots
+        fast = Ar1Fading(spec.fast_sigma_db, spec.fast_coherence_slots).sample(n, rng)
+        slow = Ar1Fading(spec.slow_sigma_db, spec.slow_coherence_slots).sample(n, rng)
+        sinr = spec.mean_sinr_db + fast + slow
+        sinr = sinr - spec.blockage.attenuation_db(n, slot_duration_ms(realization.mu),
+                                                   spec.speed_mps, rng)
+        assert realization.sinr_db.tobytes() == sinr.tobytes()
+
+    def test_shared_attenuation_is_not_modified(self):
+        attenuation = np.random.default_rng(8).uniform(0.0, 30.0, 4000)
+        before = attenuation.copy()
+        spec = SyntheticChannel(mean_sinr_db=15.0)
+        first = spec.realize(1.0, rng=np.random.default_rng(1), extra_attenuation_db=attenuation)
+        second = spec.realize(1.0, rng=np.random.default_rng(1), extra_attenuation_db=attenuation)
+        assert attenuation.tobytes() == before.tobytes()
+        assert first.sinr_db.tobytes() == second.sinr_db.tobytes()
+        self._check(first, 1.0)
+
+    def test_geometric(self):
+        model = ChannelModel(sites=[GnbSite(Position(0, 0)), GnbSite(Position(400, 0))],
+                             neighbour_load=0.3, blockage=self.BLOCKED)
+        realization = model.realize(2.0, mobility=Walking(Position(0, 30)),
+                                    rng=np.random.default_rng(6))
+        self._check(realization, 1.0)
+
+    def test_container_converts_when_not_given(self):
+        sinr = np.array([-3.0, 0.0, 12.5])
+        realization = ChannelRealization(sinr, np.zeros(3), np.zeros(3), np.zeros(3, dtype=int))
+        assert realization.sinr_linear.tobytes() == _linear(sinr).tobytes()
+        with pytest.raises(ValueError, match="sinr_linear length mismatch"):
+            ChannelRealization(sinr, np.zeros(3), np.zeros(3), np.zeros(3, dtype=int),
+                               sinr_linear=np.ones(2))

@@ -11,7 +11,9 @@ from repro.nr.signal import (
     noise_power_dbm,
     rsrp_from_pathloss,
     rsrq_from_sinr,
+    rsrq_from_sinr_linear,
     shannon_efficiency,
+    shannon_efficiency_linear,
     sinr_from_rsrq,
     sinr_to_cqi,
 )
@@ -120,3 +122,35 @@ class TestRsrq:
     def test_inverse_rejects_impossible(self):
         with pytest.raises(ValueError):
             sinr_from_rsrq(-5.0, load=1.0)  # above the full-load ceiling
+
+
+class TestScalarAndLinearForms:
+    """The helpers return a numpy scalar for a scalar or 0-d input and
+    equal the one-expression forms bit for bit; the ``*_linear`` forms
+    leave their input untouched."""
+
+    @pytest.mark.parametrize("value", [-7.5, 0.0, 60.0, np.float64(12.25), np.array(3.0)])
+    def test_scalar_inputs(self, value):
+        lin = np.power(10.0, np.asarray(value, dtype=float) / 10.0)
+        cases = {
+            "db_to_linear": (db_to_linear(value), lin),
+            "rsrq_from_sinr": (rsrq_from_sinr(value, load=0.8),
+                               10.0 * np.log10(1.0 / (12.0 * (0.8 + 1.0 / lin)))),
+            "shannon_efficiency": (shannon_efficiency(value, 0.6), 0.6 * np.log2(1.0 + lin)),
+        }
+        for name, (got, want) in cases.items():
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray), name
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+    def test_linear_forms_keep_their_input(self):
+        lin = db_to_linear(np.random.default_rng(3).normal(10.0, 8.0, 257))
+        before = lin.copy()
+        rsrq = rsrq_from_sinr_linear(lin, load=0.5)
+        eff = shannon_efficiency_linear(lin, 0.65)
+        assert lin.tobytes() == before.tobytes()
+        assert rsrq.tobytes() == (10.0 * np.log10(1.0 / (12.0 * (0.5 + 1.0 / lin)))).tobytes()
+        assert eff.tobytes() == (0.65 * np.log2(1.0 + lin)).tobytes()
+
+    def test_linear_rsrq_validates_load(self):
+        with pytest.raises(ValueError):
+            rsrq_from_sinr_linear(2.0, load=0.0)

@@ -1,11 +1,15 @@
 """Tests for repro.nr.tbs — TS 38.214 §5.1.3.2 transport block sizes."""
 
+import numpy as np
 import pytest
 
-from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM
+from repro.nr.grid import _FR1_NRB, _FR2_NRB
+from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM, McsTable
+from repro.nr.tdd import WELL_KNOWN_PATTERNS
 from repro.nr.tbs import (
     MAX_RE_PER_PRB,
     TBS_TABLE_5_1_3_2_1,
+    cached_tbs_lookup_matrix,
     tbs_lookup_matrix,
     transport_block_size,
     usable_re_per_prb,
@@ -120,3 +124,56 @@ class TestLookupMatrix:
         matrix = tbs_lookup_matrix(MCS_TABLE_64QAM, 150, max_layers=4)
         assert (matrix[1:] >= matrix[:-1]).all()
         assert (matrix[:, 1:] >= matrix[:, :-1]).all()
+
+
+def _special_slot_symbols() -> set[int]:
+    """Every DL and UL symbol count of a special slot the carriers use."""
+    from repro.operators.profiles import ALL_PROFILES, mmwave_profile
+
+    patterns = list(WELL_KNOWN_PATTERNS.values())
+    patterns += [cell.tdd for profile in (*ALL_PROFILES.values(), mmwave_profile())
+                 for cell in profile.cells if cell.tdd is not None]
+    return {count for pattern in patterns
+            for count in (pattern.special.dl_symbols, pattern.special.ul_symbols) if count > 0}
+
+
+class TestLookupMatrixEqualsScalar:
+    """The vectorized matrix equals the scalar function entry for entry,
+    over both MCS tables, every grant up to the widest carrier, layers
+    1-4 and the symbol counts of full and special slots."""
+
+    def test_exhaustive(self):
+        widest = max(n for table in (_FR1_NRB, _FR2_NRB)
+                     for by_bw in table.values() for n in by_bw.values())
+        symbol_counts = sorted({14} | _special_slot_symbols())
+        assert widest == 273 and len(symbol_counts) >= 3
+        for table in (MCS_TABLE_64QAM, MCS_TABLE_256QAM):
+            for symbols in symbol_counts:
+                for n_prb in range(widest + 1):
+                    matrix = tbs_lookup_matrix(table, n_prb, max_layers=4, symbols=symbols)
+                    want = [[transport_block_size(n_prb, entry, layers, symbols=symbols)
+                             for layers in range(1, 5)] for entry in table]
+                    assert matrix.tolist() == want, (table.name, symbols, n_prb)
+
+    def test_empty_and_invalid_shapes(self):
+        assert not tbs_lookup_matrix(MCS_TABLE_64QAM, 0, max_layers=4).any()
+        assert tbs_lookup_matrix(MCS_TABLE_64QAM, 10, max_layers=0).shape == (len(MCS_TABLE_64QAM), 0)
+        with pytest.raises(ValueError):
+            tbs_lookup_matrix(MCS_TABLE_64QAM, -1)
+        with pytest.raises(ValueError):
+            tbs_lookup_matrix(MCS_TABLE_64QAM, 10, max_layers=9)
+
+
+class TestMatrixCache:
+    def test_signature_computed_once_from_content(self):
+        copy = McsTable("copy", MCS_TABLE_256QAM.entries, MCS_TABLE_256QAM.max_modulation)
+        assert copy.signature == MCS_TABLE_256QAM.signature
+        assert copy.signature is not MCS_TABLE_256QAM.signature
+        assert MCS_TABLE_256QAM.signature is MCS_TABLE_256QAM.signature
+        assert MCS_TABLE_64QAM.signature != MCS_TABLE_256QAM.signature
+
+    def test_tables_with_equal_content_share_a_matrix(self):
+        copy = McsTable("copy", MCS_TABLE_64QAM.entries, MCS_TABLE_64QAM.max_modulation)
+        first = cached_tbs_lookup_matrix(MCS_TABLE_64QAM, 37, 3, symbols=13)
+        assert cached_tbs_lookup_matrix(copy, 37, 3, symbols=13) is first
+        assert np.array_equal(first, tbs_lookup_matrix(MCS_TABLE_64QAM, 37, 3, symbols=13))

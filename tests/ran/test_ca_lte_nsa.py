@@ -60,6 +60,26 @@ class TestCarrierAggregation:
         # Common outages produce near-zero aggregate bins.
         assert series.min() < 0.15 * series.mean()
 
+    def test_shared_blockage_series_is_not_modified(self, monkeypatch):
+        """Each carrier subtracts the shared attenuation from its own
+        SINR; the shared series itself stays as drawn."""
+        blockage = BlockageProcess(blockage_rate_hz=2.0, mean_blockage_duration_s=0.3,
+                                   blockage_attenuation_db=40.0)
+        seen = []
+        realize = SyntheticChannel.realize
+
+        def recording(self, *args, extra_attenuation_db=None, **kwargs):
+            seen.append((extra_attenuation_db, extra_attenuation_db.copy()))
+            return realize(self, *args, extra_attenuation_db=extra_attenuation_db, **kwargs)
+
+        monkeypatch.setattr(SyntheticChannel, "realize", recording)
+        ca = CarrierAggregation(carriers=_cells())
+        ca.simulate_downlink(SyntheticChannel(mean_sinr_db=22.0, blockage=blockage), 2.0,
+                             rng=np.random.default_rng(3))
+        assert len(seen) == 2 and seen[0][0] is seen[1][0]
+        for shared, drawn in seen:
+            assert shared.tobytes() == drawn.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CarrierAggregation(carriers=[])

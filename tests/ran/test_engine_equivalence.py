@@ -188,6 +188,57 @@ def test_no_kernel_falls_back_to_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
+# The CQI fill in C
+# ---------------------------------------------------------------------- #
+# The native loop forward-fills the CQI column itself when a session
+# ends; the reference engine runs ``_forward_fill_cqi``.  Equal bytes on
+# the columns' edge cases pin the C rule to the Python one.
+
+def _cqi_fill_case(case: str):
+    """(simulate, cell, duration_s) of one edge case of the fill."""
+    dddsu = _tdd_cell(Modulation.QAM256)
+    if case == "no-scheduled-slot":
+        return simulate_uplink, replace(dddsu, tdd=TddPattern.from_string("DDDDD")), 0.2
+    if case == "leading-unscheduled":
+        return simulate_uplink, dddsu, 0.2
+    if case == "one-slot-scheduled":
+        return simulate_downlink, dddsu, 0.0005
+    return simulate_uplink, dddsu, 0.0005  # one slot, unscheduled
+
+
+@pytest.mark.parametrize("case", ["no-scheduled-slot", "leading-unscheduled",
+                                  "one-slot-scheduled", "one-slot-unscheduled"])
+def test_native_cqi_fill_matches_forward_fill(monkeypatch, case):
+    _require_kernel()
+    from repro.ran import simulator
+
+    simulate, cell, duration_s = _cqi_fill_case(case)
+    fills = []
+    python_fill = simulator._forward_fill_cqi
+    monkeypatch.setattr(simulator, "_forward_fill_cqi",
+                        lambda trace: fills.append(trace) or python_fill(trace))
+    traces = {}
+    for engine in ("", "reference"):
+        monkeypatch.setenv(ENGINE_ENV, engine)
+        channel = SyntheticChannel(mean_sinr_db=15.0).realize(
+            duration_s, rng=np.random.default_rng(5))
+        traces[engine] = simulate(cell, channel, rng=np.random.default_rng(5))
+    # Only the reference engine called the Python fill.
+    assert fills == [traces["reference"]]
+    native = traces[""]
+    assert _trace_bytes(native) == _trace_bytes(traces["reference"])
+    scheduled = native.scheduled
+    if case in ("no-scheduled-slot", "one-slot-unscheduled"):
+        assert not scheduled.any() and not native.cqi.any()
+    elif case == "leading-unscheduled":
+        first = int(np.argmax(scheduled))
+        assert first > 0 and (native.cqi[:first] == native.cqi[first]).all()
+        assert (native.cqi > 0).all() and not scheduled.all()
+    else:
+        assert scheduled.tolist() == [True] and native.cqi[0] > 0
+
+
+# ---------------------------------------------------------------------- #
 # The error probability in C
 # ---------------------------------------------------------------------- #
 # The native loop evaluates the logistic error probability per period in
